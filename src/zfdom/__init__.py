@@ -15,6 +15,7 @@ from .constructions import (
     gamma_t_set_minimizing_k2_components,
     half_z_sequence_from_minimal_td,
     max_minimal_cover_size,
+    non_twin_pairs_see_all,
     z_sequence_from_gamma_t,
 )
 from .domination import (

@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     run.add_argument("--budget-ms", type=int, default=None, metavar="MS",
-                     help="per-graph time budget; exceeded stages report 'timeout'")
+                     help="per-graph time budget; a check needing a solver past it reports 'timeout'")
     run.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     hunt = sub.add_parser("hunt", help="emit graphs matching an extremal predicate")
@@ -106,12 +106,21 @@ def _cmd_hunt(args) -> int:
         print("zfdom: hunt needs exactly one of --n or --input", file=sys.stderr)
         return 2
     graphs = None
+    bad_lines = 0
     if args.input is not None:
+        graphs = []
         with open(args.input, encoding="ascii") as handle:
-            graphs = [parse_graph6(line.strip()) for line in handle if line.strip()]
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    graphs.append(parse_graph6(line.strip()))
+                except (Graph6Error, UnsupportedSizeError) as exc:
+                    bad_lines += 1
+                    print(f"zfdom: line {number}: {exc}", file=sys.stderr)
     for hit in hunt_extremal(args.predicate, n=args.n, graphs=graphs):
         print(json.dumps(hit, separators=(",", ":")))
-    return 0
+    return 2 if bad_lines else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .forcing import ZSequence, z_grundy_number
 from .graphs import (
     Graph,
     VertexSet,
+    _component_masks,
     bits,
     has_clique_component,
     induced_subgraph,
@@ -60,31 +61,13 @@ class K2ComponentAnalysis:
         return sum(self.symmetric)
 
 
-def _induced_components(g: Graph, dmask: int) -> list[int]:
-    """Component masks of the subgraph induced by ``dmask``, by min vertex."""
-    out = []
-    remaining = dmask
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in bits(frontier):
-                grown |= g.adj[v] & dmask
-            frontier = grown & ~comp
-            comp |= frontier
-        out.append(comp)
-        remaining &= ~comp
-    return out
-
-
 def analyze_k2_components(g: Graph, d: VertexSet) -> K2ComponentAnalysis:
     """Split G[d] into K2-components (with exclusive regions) and the rest."""
     if not is_total_dominating_set(g, d):
         raise NotTotalDominatingError(f"{sorted(d)} is not a total dominating set")
     pairs = []
     bigs = []
-    for comp in _induced_components(g, d.mask):
+    for comp in _component_masks(g, d.mask):
         if comp.bit_count() == 2:
             x = (comp & -comp).bit_length() - 1
             y = (comp & comp - 1).bit_length() - 1
@@ -407,6 +390,21 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
     return ExtremalPropertyReport(props, witnesses, len(subsets), exhaustive)
 
 
+def non_twin_pairs_see_all(g: Graph) -> bool:
+    """Whether the closed neighborhoods of every non-twin pair cover V.
+
+    Twins are closed or open twins.  This is the structural side of the
+    characterization of graphs whose total domination and Z-Grundy numbers
+    both equal 2.
+    """
+    for x, y in itertools.combinations(range(g.n), 2):
+        if g.cadj[x] == g.cadj[y] or g.adj[x] == g.adj[y]:
+            continue
+        if g.cadj[x] | g.cadj[y] != g.full_mask:
+            return False
+    return True
+
+
 def check_gamma_two_characterization(g: Graph) -> bool:
     """Whether [both invariants equal 2] iff [non-twin pairs jointly see V].
 
@@ -418,11 +416,4 @@ def check_gamma_two_characterization(g: Graph) -> bool:
     if is_clique(g, g.full_set()):
         raise ValueError("graph must not be complete")
     left = total_domination_number(g)[0] == 2 and z_grundy_number(g)[0] == 2
-    right = True
-    for x, y in itertools.combinations(range(g.n), 2):
-        if g.cadj[x] == g.cadj[y] or g.adj[x] == g.adj[y]:
-            continue
-        if g.cadj[x] | g.cadj[y] != g.full_mask:
-            right = False
-            break
-    return left == right
+    return left == non_twin_pairs_see_all(g)

@@ -161,18 +161,16 @@ def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     return SequenceCheck(True, tuple(footprints), None)
 
 
-def z_grundy_number(g: Graph) -> tuple[int, ZSequence]:
-    """Exact Z-Grundy domination number with a witness sequence.
+def _grundy_sequence(g: Graph, rows) -> list[int]:
+    """Lexicographically least longest sequence over the cover ``rows``.
 
-    Depth-first search over sequences keyed by the covered-closed-
-    neighborhood mask; a vertex is appendable exactly when its open
-    neighborhood leaves the covered mask, which also rules out reuse.  The
-    witness is the lexicographically least optimum sequence.  Edgeless
-    graphs (and isolated vertices generally) contribute nothing.
+    Each entry's open neighborhood must leave the union of the earlier
+    entries' rows: ``g.cadj`` gives Z-sequences, ``g.adj`` the total
+    variant.  Depth-first search keyed by the covered mask; every row
+    contains the open neighborhood, so no vertex is appendable twice.
     """
     n = g.n
     adj = g.adj
-    cadj = g.cadj
     memo: dict[int, int] = {}
 
     def best(covered: int) -> int:
@@ -182,63 +180,48 @@ def z_grundy_number(g: Graph) -> tuple[int, ZSequence]:
         value = 0
         for v in range(n):
             if adj[v] & ~covered:
-                sub = 1 + best(covered | cadj[v])
+                sub = 1 + best(covered | rows[v])
                 if sub > value:
                     value = sub
         memo[covered] = value
         return value
 
-    total = best(0)
     sequence = []
     covered = 0
-    remaining = total
+    remaining = best(0)
     while remaining:
         for v in range(n):
-            if adj[v] & ~covered and 1 + best(covered | cadj[v]) == remaining:
+            if adj[v] & ~covered and 1 + best(covered | rows[v]) == remaining:
                 sequence.append(v)
-                covered |= cadj[v]
+                covered |= rows[v]
                 remaining -= 1
                 break
-    return total, ZSequence.build(g, sequence)
+    return sequence
+
+
+def z_grundy_number(g: Graph) -> tuple[int, ZSequence]:
+    """Exact Z-Grundy domination number with a witness sequence.
+
+    Covers closed neighborhoods, so a vertex is appendable exactly when its
+    open neighborhood leaves the covered mask.  The witness is the
+    lexicographically least optimum sequence.  Edgeless graphs (and
+    isolated vertices generally) contribute nothing.
+    """
+    sequence = _grundy_sequence(g, g.cadj)
+    return len(sequence), ZSequence.build(g, sequence)
 
 
 def grundy_total_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact Grundy total domination number (open-neighborhood variant).
 
-    Same search with open neighborhoods on both sides of the condition.
-    Requires an isolate-free graph; an isolated vertex could never be
-    totally dominated by any sequence.
+    Same search with open neighborhoods on both sides of the condition, and
+    the same lexicographically least witness.  Requires an isolate-free
+    graph; an isolated vertex could never be totally dominated by any
+    sequence.
     """
     require_isolate_free(g)
-    n = g.n
-    adj = g.adj
-    memo: dict[int, int] = {}
-
-    def best(covered: int) -> int:
-        cached = memo.get(covered)
-        if cached is not None:
-            return cached
-        value = 0
-        for v in range(n):
-            if adj[v] & ~covered:
-                sub = 1 + best(covered | adj[v])
-                if sub > value:
-                    value = sub
-        memo[covered] = value
-        return value
-
-    total = best(0)
-    sequence = []
-    covered = 0
-    remaining = total
-    while remaining:
-        for v in range(n):
-            if adj[v] & ~covered and 1 + best(covered | adj[v]) == remaining:
-                sequence.append(v)
-                covered |= adj[v]
-                remaining -= 1
-                break
-    return total, tuple(sequence)
+    sequence = _grundy_sequence(g, g.adj)
+    return len(sequence), tuple(sequence)
 
 
 def complement_duality_check(g: Graph, vertices) -> bool:

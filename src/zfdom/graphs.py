@@ -317,10 +317,10 @@ def emit_graph6(g: Graph) -> str:
 # structural predicates and decompositions
 
 
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components, ordered by their minimum vertex."""
+def _component_masks(g: Graph, within: int) -> list[int]:
+    """Component masks of the subgraph induced by ``within``, by min vertex."""
     out = []
-    remaining = g.full_mask
+    remaining = within
     while remaining:
         comp = remaining & -remaining
         frontier = comp
@@ -328,11 +328,16 @@ def components(g: Graph) -> list[VertexSet]:
             grown = 0
             for v in bits(frontier):
                 grown |= g.adj[v]
-            frontier = grown & ~comp
+            frontier = grown & within & ~comp
             comp |= frontier
-        out.append(VertexSet(comp, g.n))
+        out.append(comp)
         remaining &= ~comp
     return out
+
+
+def components(g: Graph) -> list[VertexSet]:
+    """Connected components, ordered by their minimum vertex."""
+    return [VertexSet(comp, g.n) for comp in _component_masks(g, g.full_mask)]
 
 
 def is_connected(g: Graph) -> bool:

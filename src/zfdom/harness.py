@@ -73,12 +73,51 @@ FLAG_ORDER = (
 )
 
 
-class _Budget:
-    def __init__(self, budget_ms: int | None):
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+class _OutOfTime(Exception):
+    """A solver would have started after the per-graph deadline."""
 
-    def exhausted(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
+
+# Solvers are looked up on their modules at call time, so a patched or
+# traced module attribute sees every call.  The flag marks the invariants
+# that are undefined on graphs with isolated vertices.
+_SOLVERS = {
+    "zero_forcing": (lambda g: forcing.zero_forcing_number(g), False),
+    "zgrundy": (lambda g: forcing.z_grundy_number(g), False),
+    "grundy_total": (lambda g: forcing.grundy_total_number(g), True),
+    "gamma_t": (lambda g: domination.total_domination_number(g), True),
+    "upper_gamma_t": (lambda g: domination.upper_total_domination_number(g), True),
+    "gamma_p": (lambda g: powerdom.power_domination_number(g), False),
+}
+
+
+class _Facts:
+    """The invariants of one graph, each solved at most once with its witness.
+
+    Every solver run, a check's own included, goes through ``run``, which
+    raises ``_OutOfTime`` rather than start after the deadline.
+    """
+
+    def __init__(self, g: Graph, budget_ms: int | None):
+        self.g = g
+        self.isolate_free = not isolated_vertices(g)
+        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+        self._solved: dict[str, tuple] = {}
+
+    def run(self, solver, graph: Graph):
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise _OutOfTime
+        return solver(graph)
+
+    def solve(self, name: str) -> tuple:
+        """(value, witness), or (None, None) where the invariant is undefined."""
+        if name not in self._solved:
+            solver, needs_isolate_free = _SOLVERS[name]
+            undefined = needs_isolate_free and not self.isolate_free
+            self._solved[name] = (None, None) if undefined else self.run(solver, self.g)
+        return self._solved[name]
+
+    def value(self, name: str):
+        return self.solve(name)[0]
 
 
 def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict:
@@ -92,39 +131,16 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
     except (Graph6Error, UnsupportedSizeError) as exc:
         return {"graph6": line, "error": str(exc)}
 
-    budget = _Budget(budget_ms)
-    isolate_free = not isolated_vertices(g)
-    inv: dict[str, int | None] = {
-        "n": g.n,
-        "m": g.edge_count(),
-        "min_degree": g.min_degree(),
-    }
-    timed_out: set[str] = set()
-
-    def stage(name, fn, applicable=True):
-        if not applicable:
+    facts = _Facts(g, budget_ms)
+    inv = {"n": g.n, "m": g.edge_count(), "min_degree": g.min_degree()}
+    for name in _SOLVERS:
+        try:
+            inv[name] = facts.value(name)
+        except _OutOfTime:
             inv[name] = None
-        elif budget.exhausted():
-            inv[name] = None
-            timed_out.add(name)
-        else:
-            inv[name] = fn()
-
-    stage("zero_forcing", lambda: forcing.zero_forcing_number(g)[0])
-    stage("zgrundy", lambda: forcing.z_grundy_number(g)[0])
-    stage("grundy_total", lambda: forcing.grundy_total_number(g)[0], isolate_free)
-    stage("gamma_t", lambda: domination.total_domination_number(g)[0], isolate_free)
-    stage(
-        "upper_gamma_t",
-        lambda: domination.upper_total_domination_number(g)[0],
-        isolate_free,
-    )
-    stage("gamma_p", lambda: powerdom.power_domination_number(g)[0])
 
     verdicts = {
-        name: _run_check(name, g, inv, timed_out, budget, isolate_free)
-        for name in CHECK_ORDER
-        if name in selected
+        name: _run_check(name, facts) for name in CHECK_ORDER if name in selected
     }
     flags = _flags(g, inv)
     return {
@@ -135,92 +151,84 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
     }
 
 
-def _run_check(name, g, inv, timed_out, budget, isolate_free):
-    needs = {
-        "duality": ("zero_forcing", "zgrundy"),
-        "min_degree_bound": ("zero_forcing",),
-        "total_domination_bound": ("zgrundy", "gamma_t"),
-        "upper_total_bound": ("zgrundy", "gamma_t", "upper_gamma_t"),
-        "two_characterization": ("zgrundy", "gamma_t"),
-        "simplicial_three_three": ("zgrundy", "gamma_t"),
-        "simplicial_deletion": ("zgrundy", "gamma_t"),
-        "min_degree_extremal": ("zero_forcing",),
-        "parallel_paths": ("gamma_p",),
-    }[name]
-    if any(k in timed_out for k in needs) or budget.exhausted():
-        return TIMEOUT
+def _verdict(ok: bool) -> str:
+    return HOLDS if ok else VIOLATION
 
+
+def _run_check(name: str, f: _Facts) -> str:
+    """One verdict; ``timeout`` when a solver the check asked for is out of time.
+
+    Each check asks for its invariants before it tests its preconditions.
+    """
+    g = f.g
     n = g.n
-    if name == "duality":
-        return HOLDS if inv["zero_forcing"] + inv["zgrundy"] == n else VIOLATION
-    if name == "min_degree_bound":
-        if n == 0:
-            return PRECONDITION
-        return HOLDS if inv["zero_forcing"] >= inv["min_degree"] else VIOLATION
-    if name == "total_domination_bound":
-        if n == 0 or has_clique_component(g):
-            return PRECONDITION
-        try:
-            seq = constructions.z_sequence_from_gamma_t(g)
-        except AssertionError:
-            return VIOLATION
-        ok = inv["zgrundy"] >= inv["gamma_t"] and len(seq) == inv["gamma_t"]
-        return HOLDS if ok else VIOLATION
-    if name == "upper_total_bound":
-        if n == 0 or not isolate_free:
-            return PRECONDITION
-        upper = inv["upper_gamma_t"]
-        if not inv["gamma_t"] <= upper <= 2 * inv["zgrundy"]:
-            return VIOLATION
-        _, witness = domination.upper_total_domination_number(g)
-        try:
-            seq = constructions.half_z_sequence_from_minimal_td(g, witness)
-        except AssertionError:
-            return VIOLATION
-        return HOLDS if 2 * len(seq) >= upper else VIOLATION
-    if name == "two_characterization":
-        if not is_connected(g) or n < 2 or is_clique(g, g.full_set()):
-            return PRECONDITION
-        ok = constructions.check_gamma_two_characterization(g)
-        return HOLDS if ok else VIOLATION
-    if name == "simplicial_three_three":
-        if not is_connected(g) or not isolate_free or not simplicial_vertices(g):
-            return PRECONDITION
-        bad = inv["gamma_t"] == 3 and inv["zgrundy"] == 3
-        return VIOLATION if bad else HOLDS
-    if name == "simplicial_deletion":
-        if not isolate_free:
-            return PRECONDITION
-        applicable = [
-            u
-            for u in simplicial_vertices(g)
-            if g.n > 1 and not isolated_vertices(delete_vertex(g, u))
-        ]
-        if not applicable:
-            return PRECONDITION
-        for u in applicable:
-            h = delete_vertex(g, u)
-            sub_zg = forcing.z_grundy_number(h)[0]
-            sub_gt = domination.total_domination_number(h)[0]
-            if not inv["zgrundy"] - 1 <= sub_zg <= inv["zgrundy"]:
+    try:
+        if name == "duality":
+            return _verdict(f.value("zero_forcing") + f.value("zgrundy") == n)
+        if name == "min_degree_bound":
+            z = f.value("zero_forcing")
+            return PRECONDITION if n == 0 else _verdict(z >= g.min_degree())
+        if name == "total_domination_bound":
+            zg, gt = f.value("zgrundy"), f.value("gamma_t")
+            if n == 0 or has_clique_component(g):
+                return PRECONDITION
+            try:
+                seq = f.run(constructions.z_sequence_from_gamma_t, g)
+            except AssertionError:
                 return VIOLATION
-            if not inv["gamma_t"] - 1 <= sub_gt <= inv["gamma_t"]:
+            return _verdict(zg >= gt and len(seq) == gt)
+        if name == "upper_total_bound":
+            zg, gt = f.value("zgrundy"), f.value("gamma_t")
+            upper, witness = f.solve("upper_gamma_t")
+            if n == 0 or not f.isolate_free:
+                return PRECONDITION
+            if not gt <= upper <= 2 * zg:
                 return VIOLATION
-        return HOLDS
-    if name == "min_degree_extremal":
-        # the one-vertex graph is a genuine degenerate exception: a degree-0
-        # vertex power dominates it although Z = 1 > 0 = min degree
-        if n < 2:
-            return PRECONDITION
-        attained = inv["zero_forcing"] == inv["min_degree"]
-        witnessed = powerdom.z_equals_delta(g)[0]
-        return HOLDS if attained == witnessed else VIOLATION
-    if name == "parallel_paths":
-        if n == 0:
-            return PRECONDITION
-        recognized = powerdom.recognize_parallel_paths(g)
-        ok = (inv["gamma_p"] == 1) == bool(recognized)
-        return HOLDS if ok else VIOLATION
+            try:
+                seq = constructions.half_z_sequence_from_minimal_td(g, witness)
+            except AssertionError:
+                return VIOLATION
+            return _verdict(2 * len(seq) >= upper)
+        if name == "two_characterization":
+            zg, gt = f.value("zgrundy"), f.value("gamma_t")
+            if not is_connected(g) or n < 2 or is_clique(g, g.full_set()):
+                return PRECONDITION
+            return _verdict((gt == 2 and zg == 2) == constructions.non_twin_pairs_see_all(g))
+        if name == "simplicial_three_three":
+            zg, gt = f.value("zgrundy"), f.value("gamma_t")
+            if not is_connected(g) or not f.isolate_free or not simplicial_vertices(g):
+                return PRECONDITION
+            return _verdict(not (gt == 3 and zg == 3))
+        if name == "simplicial_deletion":
+            zg, gt = f.value("zgrundy"), f.value("gamma_t")
+            if not f.isolate_free:
+                return PRECONDITION
+            subgraphs = [delete_vertex(g, u) for u in simplicial_vertices(g)]
+            subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
+            if not subgraphs:
+                return PRECONDITION
+            for h in subgraphs:
+                sub_zg = f.run(forcing.z_grundy_number, h)[0]
+                sub_gt = f.run(domination.total_domination_number, h)[0]
+                if not (zg - 1 <= sub_zg <= zg and gt - 1 <= sub_gt <= gt):
+                    return VIOLATION
+            return HOLDS
+        if name == "min_degree_extremal":
+            z = f.value("zero_forcing")
+            # the one-vertex graph is a genuine degenerate exception: a degree-0
+            # vertex power dominates it although Z = 1 > 0 = min degree
+            if n < 2:
+                return PRECONDITION
+            witnessed = f.run(powerdom.z_equals_delta, g)[0]
+            return _verdict((z == g.min_degree()) == witnessed)
+        if name == "parallel_paths":
+            gp = f.value("gamma_p")
+            if n == 0:
+                return PRECONDITION
+            recognized = f.run(powerdom.recognize_parallel_paths, g)
+            return _verdict((gp == 1) == bool(recognized))
+    except _OutOfTime:
+        return TIMEOUT
     raise AssertionError(f"unhandled check {name}")
 
 

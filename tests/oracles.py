@@ -41,34 +41,44 @@ def brute_zero_forcing(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set always forces")
 
 
-def brute_z_grundy(g: Graph) -> int:
+def _least_longest_sequence(g: Graph, closed: bool) -> tuple[int, ...]:
+    """The lexicographically least among the longest valid sequences.
+
+    An entry is valid when it has a neighbor outside the neighborhoods of
+    the earlier entries: closed ones for Z-sequences, open ones for the
+    total variant.  Depth-first search in ascending vertex order meets the
+    sequences in lexicographic order, so the first longest one is the least.
+    """
     nbrs = neighbor_sets(g)
-    best = 0
+    best: tuple[int, ...] = ()
 
-    def extend(length: int, used: set[int], covered: set[int]) -> None:
+    def extend(sequence: tuple[int, ...], covered: set[int]) -> None:
         nonlocal best
-        best = max(best, length)
+        if len(sequence) > len(best):
+            best = sequence
         for v in range(g.n):
-            if v not in used and nbrs[v] - covered:
-                extend(length + 1, used | {v}, covered | nbrs[v] | {v})
+            if v not in sequence and nbrs[v] - covered:
+                reach = nbrs[v] | {v} if closed else nbrs[v]
+                extend(sequence + (v,), covered | reach)
 
-    extend(0, set(), set())
+    extend((), set())
     return best
+
+
+def brute_z_grundy_sequence(g: Graph) -> tuple[int, ...]:
+    return _least_longest_sequence(g, closed=True)
+
+
+def brute_grundy_total_sequence(g: Graph) -> tuple[int, ...]:
+    return _least_longest_sequence(g, closed=False)
+
+
+def brute_z_grundy(g: Graph) -> int:
+    return len(brute_z_grundy_sequence(g))
 
 
 def brute_grundy_total(g: Graph) -> int:
-    nbrs = neighbor_sets(g)
-    best = 0
-
-    def extend(length: int, used: set[int], covered: set[int]) -> None:
-        nonlocal best
-        best = max(best, length)
-        for v in range(g.n):
-            if v not in used and nbrs[v] - covered:
-                extend(length + 1, used | {v}, covered | nbrs[v])
-
-    extend(0, set(), set())
-    return best
+    return len(brute_grundy_total_sequence(g))
 
 
 def is_td_set_by_sets(nbrs: dict[int, set[int]], d) -> bool:

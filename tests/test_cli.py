@@ -61,6 +61,15 @@ def test_hunt_external_corpus(tmp_path, capsys):
     assert len(hits) == 1 and hits[0]["graph6"] == "D{c"
 
 
+def test_hunt_skips_bad_input_lines(tmp_path, capsys):
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("D{c\n&&&\nD{c\n")
+    assert main(["hunt", "--predicate", "uppertotal-eq-2zgrundy", "--input", str(corpus)]) == 2
+    out = capsys.readouterr()
+    assert [json.loads(line)["graph6"] for line in out.out.splitlines()] == ["D{c", "D{c"]
+    assert out.err.splitlines() == ["zfdom: line 2: invalid size byte '&' (byte offset 0)"]
+
+
 def test_hunt_refuses_large_builtin_enumeration(capsys):
     assert main(["hunt", "--predicate", "z-eq-delta", "--n", "7"]) == 2
     assert "n <= 6" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from zfdom import (
     half_z_sequence_from_minimal_td,
     is_z_sequence,
     max_minimal_cover_size,
+    non_twin_pairs_see_all,
     total_domination_number,
     upper_total_domination_number,
     z_grundy_number,
@@ -207,6 +208,11 @@ class TestTwoCharacterization:
         assert check_gamma_two_characterization(c4)
         assert check_gamma_two_characterization(C5)
         assert check_gamma_two_characterization(path(4).graph)
+
+    def test_non_twin_pairs_see_all(self):
+        assert non_twin_pairs_see_all(cycle(4).graph)  # only twins fail to cover
+        assert not non_twin_pairs_see_all(C5)  # N[0] and N[1] miss vertex 3
+        assert non_twin_pairs_see_all(complete(4).graph)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,9 @@ from zfdom.families import (
 
 from oracles import (
     brute_grundy_total,
+    brute_grundy_total_sequence,
     brute_z_grundy,
+    brute_z_grundy_sequence,
     brute_zero_forcing,
     neighbor_sets,
 )
@@ -203,6 +205,15 @@ class TestGrundyTotalNumber:
                 for v in seq:  # re-check the open-neighborhood condition
                     assert nbrs[v] - covered
                     covered |= nbrs[v]
+
+
+class TestGrundyWitnesses:
+    def test_both_witnesses_are_the_least_optimum_sequence(self, graphs_by_order):
+        for n in range(7):
+            for g in graphs_by_order[n]:
+                assert z_grundy_number(g)[1].vertices == brute_z_grundy_sequence(g)
+                if all(g.adj):
+                    assert grundy_total_number(g)[1] == brute_grundy_total_sequence(g)
 
 
 class TestDuality:

@@ -1,9 +1,20 @@
 import io
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from zfdom import emit_graph6, enumerate_labeled_graphs
+from zfdom import (
+    constructions,
+    domination,
+    emit_graph6,
+    enumerate_labeled_graphs,
+    forcing,
+    harness,
+    parse_graph6,
+    powerdom,
+)
 from zfdom.families import cycle, path, windmill
 from zfdom.harness import (
     CHECK_ORDER,
@@ -56,6 +67,75 @@ class TestComputeReport:
         assert list(report["verdicts"]) == ["duality"]
         with pytest.raises(ValueError):
             compute_report("Bw", checks=("nonsense",))
+
+
+class TestFactCache:
+    SOLVERS = (
+        (forcing, "zero_forcing_number"),
+        (forcing, "z_grundy_number"),
+        (forcing, "grundy_total_number"),
+        (domination, "total_domination_number"),
+        (domination, "upper_total_domination_number"),
+        (powerdom, "power_domination_number"),
+    )
+
+    @pytest.mark.parametrize(
+        "token", ["D{c", emit_graph6(cycle(5).graph), emit_graph6(path(4).graph)]
+    )
+    def test_each_solver_runs_once_per_graph(self, token, monkeypatch):
+        """The harness asks each solver once about the graph itself.
+
+        Only calls made from harness code count, because
+        ``enumerate_gamma_t_sets`` still re-derives the minimum total
+        domination number for the sequence construction.  Calls on subgraphs
+        (the simplicial deletion check) do not count either.
+        """
+        g = parse_graph6(token)
+        calls = {name: 0 for _, name in self.SOLVERS}
+
+        def counting(solver, name):
+            def wrapper(h):
+                if h == g and sys._getframe(1).f_globals["__name__"] == harness.__name__:
+                    calls[name] += 1
+                return solver(h)
+
+            return wrapper
+
+        for module, name in self.SOLVERS:
+            monkeypatch.setattr(module, name, counting(getattr(module, name), name))
+        characterization_calls = []
+        monkeypatch.setattr(
+            constructions,
+            "check_gamma_two_characterization",
+            lambda h: characterization_calls.append(h),
+        )
+        report = compute_report(token)
+        assert calls == {name: 1 for _, name in self.SOLVERS}
+        assert characterization_calls == []
+        assert TIMEOUT not in report["verdicts"].values()
+
+    def test_checks_with_computed_inputs_survive_the_deadline(self, monkeypatch):
+        """The budget runs out once zgrundy is known: a fake clock jumps past
+        the deadline, so the test does not depend on machine speed."""
+        clock = [0.0]
+        monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        solve = forcing.z_grundy_number
+
+        def exhausting(g):
+            result = solve(g)
+            clock[0] = 10.0
+            return result
+
+        monkeypatch.setattr(forcing, "z_grundy_number", exhausting)
+        report = compute_report(emit_graph6(cycle(5).graph), budget_ms=1000)
+        invariants = report["invariants"]
+        assert invariants["zero_forcing"] == 2 and invariants["zgrundy"] == 3
+        for name in ("grundy_total", "gamma_t", "upper_gamma_t", "gamma_p"):
+            assert invariants[name] is None
+        verdicts = dict(report["verdicts"])
+        assert verdicts.pop("duality") == HOLDS
+        assert verdicts.pop("min_degree_bound") == HOLDS
+        assert set(verdicts.values()) == {TIMEOUT}
 
 
 def _with_isolate():
