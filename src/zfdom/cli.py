@@ -9,6 +9,7 @@ extremal graphs, ``explain`` prints one invariant with its certificate, and
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -82,13 +83,24 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a graph6 file, or of stdin for ``-``, decoded as ASCII.
+
+    A non-ASCII byte becomes a backslash escape, so only its own line fails
+    to parse, and echoing the line keeps the output ASCII.
+    """
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    text = data.decode("ascii", errors="backslashreplace")
+    return io.StringIO(text, newline=None).readlines()
+
+
 def _cmd_run(args) -> int:
     checks = args.checks.split(",") if args.checks else None
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        with open(args.input, encoding="ascii") as handle:
-            lines = handle.readlines()
+    lines = _read_lines(args.input)
     summary = run_corpus(
         lines,
         sys.stdout,
@@ -109,15 +121,14 @@ def _cmd_hunt(args) -> int:
     bad_lines = 0
     if args.input is not None:
         graphs = []
-        with open(args.input, encoding="ascii") as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    graphs.append(parse_graph6(line.strip()))
-                except (Graph6Error, UnsupportedSizeError) as exc:
-                    bad_lines += 1
-                    print(f"zfdom: line {number}: {exc}", file=sys.stderr)
+        for number, line in enumerate(_read_lines(args.input), start=1):
+            if not line.strip():
+                continue
+            try:
+                graphs.append(parse_graph6(line.strip()))
+            except (Graph6Error, UnsupportedSizeError) as exc:
+                bad_lines += 1
+                print(f"zfdom: line {number}: {exc}", file=sys.stderr)
     for hit in hunt_extremal(args.predicate, n=args.n, graphs=graphs):
         print(json.dumps(hit, separators=(",", ":")))
     return 2 if bad_lines else 0

@@ -2,14 +2,18 @@
 
 A TD-set gives every vertex a neighbor inside it.  Minimality is certified
 through private neighborhoods: D is a minimal TD-set exactly when each of
-its vertices keeps a private neighbor (internal or external).  Enumeration
-streams are ordered by ascending mask value so downstream constructions are
-reproducible.
+its vertices keeps a private neighbor (internal or external).
+
+One pruned depth-first search, ``_minimal_td_masks``, lists every minimal
+TD-set; γt, Γt and both enumeration streams are read off that list.  A
+minimum TD-set is minimal, so γt is the least size in it.  Streams are
+ordered by ascending mask value so downstream constructions are
+reproducible; the γt witness is the lexicographically least minimum set
+and the Γt witness the first maximum set in mask order.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -103,62 +107,83 @@ def is_minimal_td_set(g: Graph, d: VertexSet) -> TDCertificate | None:
     return TDCertificate(d, witnesses)
 
 
-def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
-    """Exact minimum TD-set size with the lexicographically least witness."""
+def _minimal_td_masks(g: Graph) -> list[int]:
+    """Masks of all minimal TD-sets of ``g``, ascending.
+
+    Depth-first search over the vertices by descending degree (ties: lower
+    index first), keeping ``once``/``twice``, the vertices with at least one
+    and at least two neighbors in the chosen set.  A branch is cut when a
+    vertex outside ``once`` has no neighbor left among the undecided
+    vertices, or when a member has no private neighbor ``adj & ~twice``:
+    adding vertices only shrinks private neighborhoods.  A chosen set that
+    totally dominates is recorded and not extended, since every proper
+    superset of a TD-set has a redundant member.  Memory is O(n) plus the
+    output and the recursion is at most n + 1 deep.
+    """
     require_isolate_free(g)
-    n = g.n
-    if n == 0:
-        return 0, VertexSet.empty(0)
-    # any nonempty TD-set has >= 2 vertices: members need neighbors inside
-    for k in range(2, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if _totally_dominated_mask(g, mask) == g.full_mask:
-                return k, VertexSet(mask, n)
-    raise AssertionError("isolate-free graph must have a total dominating set")
+    n, adj, full = g.n, g.adj, g.full_mask
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    # reach[i]: the vertices some undecided vertex order[i:] can still dominate
+    reach = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] | adj[order[i]]
+    found = []
+
+    def extend(i: int, chosen: int, members: tuple, once: int, twice: int) -> None:
+        if once == full:
+            found.append(chosen)
+            return
+        if full & ~once & ~reach[i]:
+            return
+        v = order[i]
+        row = adj[v]
+        grown = twice | once & row
+        # v's own private neighbors are the vertices it dominates first
+        if row & ~once and (
+            grown == twice or all(adj[u] & ~grown for u in members)
+        ):
+            extend(i + 1, chosen | 1 << v, members + (v,), once | row, grown)
+        extend(i + 1, chosen, members, once, twice)
+
+    extend(0, 0, (), 0, 0)
+    found.sort()
+    return found
+
+
+def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
+    """Exact minimum TD-set size with the lexicographically least witness.
+
+    Every minimum TD-set is minimal, so the value is the least size among
+    the minimal TD-sets; the witness is the least of the minimum ones as a
+    sorted vertex tuple.
+    """
+    masks = _minimal_td_masks(g)
+    k = min(mask.bit_count() for mask in masks)
+    minimum = (mask for mask in masks if mask.bit_count() == k)
+    witness = min(minimum, key=lambda mask: tuple(bits(mask)))
+    return k, VertexSet(witness, g.n)
 
 
 def upper_total_domination_number(g: Graph) -> tuple[int, VertexSet]:
     """Exact maximum size of a minimal TD-set, with the first witness in mask order."""
-    require_isolate_free(g)
-    if g.n == 0:
-        return 0, VertexSet.empty(0)
-    best = None
-    for d in enumerate_minimal_td_sets(g):
-        if best is None or len(d) > len(best):
-            best = d
-    assert best is not None
-    return len(best), best
+    best = max(_minimal_td_masks(g), key=int.bit_count)
+    return best.bit_count(), VertexSet(best, g.n)
 
 
 def enumerate_gamma_t_sets(g: Graph) -> Iterator[VertexSet]:
-    """All minimum total dominating sets, ascending by mask value."""
-    k, _ = total_domination_number(g)
-    n = g.n
-    full = g.full_mask
-    for mask in range(1 << n):
-        if mask.bit_count() == k and _totally_dominated_mask(g, mask) == full:
-            yield VertexSet(mask, n)
+    """All minimum total dominating sets, ascending by mask value.
+
+    These are the minimal TD-sets of least size, read off the same search
+    as γt without a separate γt computation.
+    """
+    masks = _minimal_td_masks(g)
+    k = min(mask.bit_count() for mask in masks)
+    for mask in masks:
+        if mask.bit_count() == k:
+            yield VertexSet(mask, g.n)
 
 
 def enumerate_minimal_td_sets(g: Graph) -> Iterator[VertexSet]:
     """All minimal total dominating sets, ascending by mask value."""
-    require_isolate_free(g)
-    n = g.n
-    full = g.full_mask
-    for mask in range(1 << n):
-        if _totally_dominated_mask(g, mask) != full:
-            continue
-        d = VertexSet(mask, n)
-        if _every_member_has_private_neighbor(g, d):
-            yield d
-
-
-def _every_member_has_private_neighbor(g: Graph, d: VertexSet) -> bool:
-    for v in d:
-        bit = 1 << v
-        if not any(g.adj[w] & d.mask == bit for w in range(g.n)):
-            return False
-    return True
+    for mask in _minimal_td_masks(g):
+        yield VertexSet(mask, g.n)

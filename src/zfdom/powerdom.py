@@ -12,6 +12,7 @@ re-checks the selection property exhaustively as the correctness oracle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .forcing import forcing_closure
@@ -225,19 +226,22 @@ def extract_decomposition(g: Graph, x: int) -> ParallelPathsDecomposition | None
     return ParallelPathsDecomposition.from_paths(g, x, paths)
 
 
-def recognize_parallel_paths(g: Graph) -> tuple[tuple[int, int], ...]:
-    """All (hub, path count) pairs whose extraction passes validation."""
-    out = []
+def _validated_hubs(g: Graph) -> Iterator[tuple[int, int]]:
+    """Lazily yield (hub, path count) for each hub whose extraction validates."""
     for x in range(g.n):
         d = extract_decomposition(g, x)
         if d is not None and validate_decomposition(g, d).valid:
-            out.append((x, len(d.paths)))
-    return tuple(out)
+            yield x, len(d.paths)
+
+
+def recognize_parallel_paths(g: Graph) -> tuple[tuple[int, int], ...]:
+    """All (hub, path count) pairs whose extraction passes validation."""
+    return tuple(_validated_hubs(g))
 
 
 def is_k_parallel_paths_graph(g: Graph, k: int) -> bool:
     """Whether some hub yields a validated decomposition into ``k`` paths."""
-    return any(count == k for _, count in recognize_parallel_paths(g))
+    return any(count == k for _, count in _validated_hubs(g))
 
 
 # ---------------------------------------------------------------------------

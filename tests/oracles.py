@@ -86,13 +86,42 @@ def is_td_set_by_sets(nbrs: dict[int, set[int]], d) -> bool:
     return all(nbrs[v] & d for v in nbrs)
 
 
-def brute_gamma_t(g: Graph) -> int | None:
+def brute_gamma_t_set(g: Graph) -> tuple[int, ...] | None:
+    """The first TD-set in ``combinations`` order: smallest, then lexicographically least."""
     nbrs = neighbor_sets(g)
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
             if is_td_set_by_sets(nbrs, combo):
-                return k
+                return combo
     return None
+
+
+def brute_gamma_t(g: Graph) -> int | None:
+    witness = brute_gamma_t_set(g)
+    return None if witness is None else len(witness)
+
+
+def is_minimal_td_set_by_deletion(nbrs: dict[int, set[int]], d) -> bool:
+    """A TD-set none of whose members can be dropped.
+
+    Single deletions suffice: any superset of a TD-set totally dominates, so
+    a TD proper subset S of D makes D - {v} a TD-set for each v outside S.
+    """
+    d = set(d)
+    return is_td_set_by_sets(nbrs, d) and not any(
+        is_td_set_by_sets(nbrs, d - {v}) for v in d
+    )
+
+
+def brute_td_masks(g: Graph, minimal: bool = False) -> list[int]:
+    """Masks of the (minimal) TD-sets in ascending order."""
+    nbrs = neighbor_sets(g)
+    test = is_minimal_td_set_by_deletion if minimal else is_td_set_by_sets
+    return [
+        mask
+        for mask in range(1 << g.n)
+        if test(nbrs, {v for v in range(g.n) if mask >> v & 1})
+    ]
 
 
 def brute_minimal_td_sets(g: Graph) -> list[frozenset[int]]:

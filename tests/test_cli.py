@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -68,6 +69,49 @@ def test_hunt_skips_bad_input_lines(tmp_path, capsys):
     out = capsys.readouterr()
     assert [json.loads(line)["graph6"] for line in out.out.splitlines()] == ["D{c", "D{c"]
     assert out.err.splitlines() == ["zfdom: line 2: invalid size byte '&' (byte offset 0)"]
+
+
+NON_ASCII_CORPUS = b"Bw\n\xc3\xa9\nBg\n"
+
+
+def _corpus_argument(source, tmp_path, monkeypatch):
+    """Path of a file holding ``NON_ASCII_CORPUS``, or ``-`` with it on stdin."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NON_ASCII_CORPUS)))
+        return "-"
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_bytes(NON_ASCII_CORPUS)
+    return str(corpus)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_run_reports_a_non_ascii_line_as_a_parse_failure(source, fmt, tmp_path, monkeypatch, capsys):
+    argument = _corpus_argument(source, tmp_path, monkeypatch)
+    assert main(["run", argument, "--format", fmt]) == 2
+    out = capsys.readouterr()
+    assert out.out.isascii()
+    rows = out.out.splitlines()
+    if fmt == "csv":
+        rows = rows[1:]
+        assert [row.split(",")[0] for row in rows] == ["Bw", "\\xc3\\xa9", "Bg"]
+    else:
+        reports = [json.loads(row) for row in rows]
+        assert [r["graph6"] for r in reports] == ["Bw", "\\xc3\\xa9", "Bg"]
+        assert ["error" in r for r in reports] == [False, True, False]
+    summary = json.loads(out.err)
+    assert summary["graphs"] == 3 and summary["parse_failures"] == 1
+    assert summary["failed_lines"] == ["\\xc3\\xa9"]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_hunt_skips_a_non_ascii_line(source, tmp_path, monkeypatch, capsys):
+    argument = _corpus_argument(source, tmp_path, monkeypatch)
+    assert main(["hunt", "--predicate", "z-eq-delta", "--input", argument]) == 2
+    out = capsys.readouterr()
+    assert [json.loads(line)["graph6"] for line in out.out.splitlines()] == ["Bw", "Bg"]
+    [message] = out.err.splitlines()
+    assert message.startswith("zfdom: line 2: ")
 
 
 def test_hunt_refuses_large_builtin_enumeration(capsys):

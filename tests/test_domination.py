@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfdom import (
     Graph,
@@ -6,6 +10,7 @@ from zfdom import (
     NotTotalDominatingError,
     VertexSet,
     components,
+    domination,
     enumerate_gamma_t_sets,
     enumerate_minimal_td_sets,
     induced_subgraph,
@@ -28,7 +33,9 @@ from zfdom.families import (
 
 from oracles import (
     brute_gamma_t,
+    brute_gamma_t_set,
     brute_minimal_td_sets,
+    brute_td_masks,
     brute_upper_gamma_t,
     is_td_set_by_sets,
     neighbor_sets,
@@ -192,3 +199,65 @@ class TestPrivateNeighborObservation:
                             continue
                         _, epn, _ = private_neighborhoods(g, d, v)
                         assert epn, (sorted(d), v)
+
+
+@st.composite
+def isolate_free_graphs(draw, max_n=12):
+    """Random graphs on 2..max_n vertices; an isolated vertex is joined to its successor."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    g = Graph.from_edges(n, edges)
+    extra = {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) if not g.adj[v]}
+    return Graph.from_edges(n, edges | extra)
+
+
+def _assert_matches_oracles(g: Graph) -> None:
+    """Values, witness contracts and both streams against the definitions."""
+    minimal = brute_td_masks(g, minimal=True)
+    least = brute_gamma_t_set(g)
+    gt, dset = total_domination_number(g)
+    assert (gt, tuple(dset)) == (len(least), least)
+    upper, uset = upper_total_domination_number(g)
+    top = max(mask.bit_count() for mask in minimal)
+    assert (upper, uset.mask) == (top, min(m for m in minimal if m.bit_count() == top))
+    assert [d.mask for d in enumerate_minimal_td_sets(g)] == minimal
+    assert [d.mask for d in enumerate_gamma_t_sets(g)] == [
+        mask for mask in brute_td_masks(g) if mask.bit_count() == gt
+    ]
+
+
+class TestEnumeratorContracts:
+    def test_every_isolate_free_graph_up_to_seven_vertices(self, graphs_by_order):
+        for n in range(8):
+            for g in graphs_by_order[n]:
+                if all(g.adj[v] for v in range(n)):
+                    _assert_matches_oracles(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(isolate_free_graphs())
+    def test_random_graphs_up_to_twelve_vertices(self, g):
+        _assert_matches_oracles(g)
+
+    @pytest.mark.parametrize("g", [path(16).graph, cycle(16).graph, windmill(3, 7).graph])
+    def test_search_is_pruned_on_sparse_graphs(self, g):
+        """The depth-first search visits O(n) nodes per minimal TD-set here.
+
+        Without the feasibility cut the same sets cost about 40 to 550 times
+        as many nodes; the count is taken with a profile hook, not a clock.
+        """
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "extend" and (
+                frame.f_globals is vars(domination)
+            ):
+                nodes += 1
+
+        sys.setprofile(count)
+        try:
+            masks = domination._minimal_td_masks(g)
+        finally:
+            sys.setprofile(None)
+        assert 0 < nodes <= 2 * (g.n + 1) * len(masks)

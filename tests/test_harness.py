@@ -85,18 +85,21 @@ class TestFactCache:
     def test_each_solver_runs_once_per_graph(self, token, monkeypatch):
         """The harness asks each solver once about the graph itself.
 
-        Only calls made from harness code count, because
-        ``enumerate_gamma_t_sets`` still re-derives the minimum total
-        domination number for the sequence construction.  Calls on subgraphs
-        (the simplicial deletion check) do not count either.
+        ``calls`` counts the calls made from harness code.  γt must also
+        run exactly once on the graph from any module: the sequence
+        construction takes the minimum sets without a γt call of its own.
+        Calls on subgraphs (the simplicial deletion check) do not count.
         """
         g = parse_graph6(token)
         calls = {name: 0 for _, name in self.SOLVERS}
+        any_caller = {name: 0 for _, name in self.SOLVERS}
 
         def counting(solver, name):
             def wrapper(h):
-                if h == g and sys._getframe(1).f_globals["__name__"] == harness.__name__:
-                    calls[name] += 1
+                if h == g:
+                    any_caller[name] += 1
+                    if sys._getframe(1).f_globals["__name__"] == harness.__name__:
+                        calls[name] += 1
                 return solver(h)
 
             return wrapper
@@ -111,6 +114,7 @@ class TestFactCache:
         )
         report = compute_report(token)
         assert calls == {name: 1 for _, name in self.SOLVERS}
+        assert any_caller["total_domination_number"] == 1
         assert characterization_calls == []
         assert TIMEOUT not in report["verdicts"].values()
 
