@@ -86,15 +86,15 @@ def main(argv=None) -> int:
 def _read_lines(path: str) -> list[str]:
     """The lines of a graph6 file, or of stdin for ``-``, decoded as ASCII.
 
-    A non-ASCII byte becomes a backslash escape, so only its own line fails
-    to parse, and echoing the line keeps the output ASCII.
+    A non-ASCII byte becomes a lone surrogate, which no graph6 text contains,
+    so only its own line fails to parse, at the byte's own offset.
     """
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
             data = handle.read()
-    text = data.decode("ascii", errors="backslashreplace")
+    text = data.decode("ascii", errors="surrogateescape")
     return io.StringIO(text, newline=None).readlines()
 
 

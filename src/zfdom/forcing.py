@@ -1,10 +1,13 @@
 """Zero forcing closure, exact Z(G), and the sequence-based Grundy numbers.
 
 The color-change rule turns a blue vertex's unique non-blue neighbor blue.
+One ascending-size seed search serves Z(G) and the power domination number:
+the union of the seed's rows (single vertices for Z, closed neighborhoods
+for power domination) starts blue and must close to the whole graph.
 Z-sequences are the dual object: vertex orders in which every entry still
 sees a vertex outside the union of the previous closed neighborhoods.  The
-two exact solvers here are deliberately independent searches so the duality
-Z(G) + zgrundy(G) = n(G) can be verified rather than assumed.
+two exact solvers for Z and zgrundy are deliberately independent searches
+so the duality Z(G) + zgrundy(G) = n(G) can be verified rather than assumed.
 """
 
 from __future__ import annotations
@@ -82,22 +85,31 @@ def is_zero_forcing_set(g: Graph, s: VertexSet) -> bool:
     return _closure_mask(g, s.mask) == g.full_mask
 
 
-def zero_forcing_number(g: Graph) -> tuple[int, VertexSet]:
-    """Exact Z(G) with the lexicographically least minimum forcing set.
+def _least_seed(g: Graph, rows, start: int) -> tuple[int, VertexSet]:
+    """Least seed size from ``start`` on, with the lexicographically least seed.
 
-    Ascending-size subset search starting at the minimum-degree lower
-    bound; the whole vertex set always forces, so the search terminates.
+    A seed is good when the union of its vertices' ``rows`` closes to the
+    whole vertex set; every row holds its own vertex, so the search ends.
     """
     n = g.n
     full = g.full_mask
-    for k in range(g.min_degree(), n + 1):
+    for k in range(start, n + 1):
         for combo in itertools.combinations(range(n), k):
             mask = 0
             for v in combo:
-                mask |= 1 << v
+                mask |= rows[v]
             if _closure_mask(g, mask) == full:
-                return k, VertexSet(mask, n)
-    raise AssertionError("unreachable: the full vertex set always forces")
+                return k, VertexSet.of(combo, n)
+    raise AssertionError("unreachable: the full vertex set always closes")
+
+
+def zero_forcing_number(g: Graph) -> tuple[int, VertexSet]:
+    """Exact Z(G) with the lexicographically least minimum forcing set.
+
+    Ascending-size seed search over single vertices, starting at the
+    minimum-degree lower bound.
+    """
+    return _least_seed(g, [1 << v for v in range(g.n)], g.min_degree())
 
 
 @dataclass(frozen=True)

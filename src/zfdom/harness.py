@@ -129,7 +129,9 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
     try:
         g = parse_graph6(line)
     except (Graph6Error, UnsupportedSizeError) as exc:
-        return {"graph6": line, "error": str(exc)}
+        # an undecodable input byte is echoed as a backslash escape, keeping output ASCII
+        shown = line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace")
+        return {"graph6": shown, "error": str(exc)}
 
     facts = _Facts(g, budget_ms)
     inv = {"n": g.n, "m": g.edge_count(), "min_degree": g.min_degree()}

@@ -1,12 +1,17 @@
 """Power domination and graphs of k internally parallel paths.
 
 The power domination process observes the closed neighborhood of a seed set
-and then runs zero forcing.  A single-vertex seed certifies the structure
-of the whole graph: replaying its propagation from a hub assigns every
-vertex to one of deg(hub) paths, and those paths satisfy a selection
-property (some chosen interior vertex has exactly one neighbor among the
-chosen tails).  Recognition runs the fast propagation side; validation
-re-checks the selection property exhaustively as the correctness oracle.
+and then runs zero forcing, so gamma_p is zero forcing from N[S]: it comes
+from the seed search that also gives Z, run over closed-neighborhood rows
+on masks only.  The traced path (``power_closure``) serves certificates,
+explanations and the decomposition below.
+
+A single-vertex seed certifies the structure of the whole graph: replaying
+its propagation from a hub assigns every vertex to one of deg(hub) paths,
+and those paths satisfy a selection property (some chosen interior vertex
+has exactly one neighbor among the chosen tails).  Recognition runs the
+fast propagation side; validation re-checks the selection property
+exhaustively as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .forcing import forcing_closure
+from .forcing import _closure_mask, _least_seed, forcing_closure
 from .graphs import Graph, UnsupportedSizeError, VertexSet, bits
 
 
@@ -54,28 +59,19 @@ def is_power_dominating_set(g: Graph, s: VertexSet) -> bool:
 
 def power_domination_number(g: Graph) -> tuple[int, VertexSet]:
     """Exact power domination number with the lexicographically least witness."""
-    n = g.n
-    if n == 0:
-        return 0, VertexSet.empty(0)
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            s = VertexSet.of(combo, n)
-            if is_power_dominating_set(g, s):
-                return k, s
-    raise AssertionError("the full vertex set always power dominates")
+    return _least_seed(g, g.cadj, 0)
 
 
 def z_equals_delta(g: Graph) -> tuple[bool, int | None]:
     """Whether some minimum-degree vertex power dominates alone.
 
-    Equivalence of this with Z(G) = min degree is a theorem for graphs with
-    at least two vertices and is asserted by the harness, not here.
+    Returns the first such vertex in index order.  Equivalence of this with
+    Z(G) = min degree is a theorem for graphs with at least two vertices and
+    is asserted by the harness, not here.
     """
-    if g.n == 0:
-        return False, None
     delta = g.min_degree()
     for x in range(g.n):
-        if g.degree(x) == delta and is_power_dominating_set(g, VertexSet.of([x], g.n)):
+        if g.degree(x) == delta and _closure_mask(g, g.cadj[x]) == g.full_mask:
             return True, x
     return False, None
 

@@ -148,18 +148,21 @@ def brute_upper_gamma_t(g: Graph) -> int | None:
     return max((len(s) for s in sets), default=None)
 
 
-def brute_gamma_p(g: Graph) -> int:
+def brute_gamma_p_set(g: Graph) -> tuple[int, ...]:
+    """The first power dominating set in ``combinations`` order: smallest, then lexicographically least."""
     nbrs = neighbor_sets(g)
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
+    for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
             observed = set(combo)
             for v in combo:
                 observed |= nbrs[v]
             if len(closure_by_sets(nbrs, observed)) == g.n:
-                return k
+                return combo
     raise AssertionError("the full vertex set always power dominates")
+
+
+def brute_gamma_p(g: Graph) -> int:
+    return len(brute_gamma_p_set(g))
 
 
 def has_long_induced_cycle(g: Graph) -> bool:

@@ -114,6 +114,31 @@ def test_hunt_skips_a_non_ascii_line(source, tmp_path, monkeypatch, capsys):
     assert message.startswith("zfdom: line 2: ")
 
 
+# Escaped as the text \xab???..., this line would be a 29-vertex graph6 string.
+ESCAPE_LOOKALIKE = b"\xab" + b"?" * 65
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_run_never_parses_a_non_ascii_byte_as_graph6(fmt, tmp_path, capsys):
+    corpus = tmp_path / "lookalike.g6"
+    corpus.write_bytes(ESCAPE_LOOKALIKE + b"\n")
+    assert main(["run", str(corpus), "--format", fmt]) == 2
+    out = capsys.readouterr()
+    assert out.out.isascii()
+    summary = json.loads(out.err)
+    assert summary["graphs"] == 1 and summary["parse_failures"] == 1
+    assert summary["failed_lines"] == ["\\xab" + "?" * 65]
+
+
+def test_hunt_never_parses_a_non_ascii_byte_as_graph6(tmp_path, capsys):
+    corpus = tmp_path / "lookalike.g6"
+    corpus.write_bytes(ESCAPE_LOOKALIKE + b"\n")
+    assert main(["hunt", "--predicate", "z-eq-delta", "--input", str(corpus)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["zfdom: line 1: invalid size byte '\\udcab' (byte offset 0)"]
+
+
 def test_hunt_refuses_large_builtin_enumeration(capsys):
     assert main(["hunt", "--predicate", "z-eq-delta", "--n", "7"]) == 2
     assert "n <= 6" in capsys.readouterr().err

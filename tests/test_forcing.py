@@ -111,7 +111,7 @@ class TestZeroForcingNumber:
         assert zero_forcing_number(g) == (3, VertexSet.full(3))
 
     def test_witness_forces_and_matches_brute(self, graphs_by_order):
-        for n in range(6):
+        for n in range(8):
             for g in graphs_by_order[n]:
                 k, witness = zero_forcing_number(g)
                 brute_k, brute_set = brute_zero_forcing(g)

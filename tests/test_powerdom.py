@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfdom import (
     DecompositionStructureError,
@@ -24,7 +26,8 @@ from zfdom import (
 from zfdom.families import complete, complete_multipartite, cycle, path, star, windmill
 
 from oracles import (
-    brute_gamma_p,
+    brute_gamma_p_set,
+    brute_zero_forcing,
     outerplanar_by_apex,
     two_parallel_paths_by_definition,
 )
@@ -71,9 +74,11 @@ class TestPowerDominationNumber:
         assert power_domination_number(K1)[0] == 1
 
     def test_matches_brute(self, graphs_by_order):
-        for n in range(1, 6):
+        for n in range(8):
             for g in graphs_by_order[n]:
-                assert power_domination_number(g)[0] == brute_gamma_p(g)
+                gp, witness = power_domination_number(g)
+                least = brute_gamma_p_set(g)
+                assert (gp, tuple(witness)) == (len(least), least)  # lexicographically least
 
     def test_never_exceeds_zero_forcing(self, graphs_by_order):
         for n in range(1, 6):
@@ -91,6 +96,39 @@ class TestPowerDominationNumber:
                 assert power_domination_number(g)[0] <= total_domination_number(g)[0]
 
 
+@st.composite
+def graphs(draw, max_n=12):
+    """Random labeled graphs on 2..max_n vertices, isolated vertices allowed."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
+
+
+def _assert_seed_searches_match_oracles(g: Graph) -> None:
+    """Z and gamma_p, values and lexicographically least witnesses, against the definitions."""
+    z, forcing_set = zero_forcing_number(g)
+    assert (z, tuple(forcing_set)) == brute_zero_forcing(g)
+    gp, seed = power_domination_number(g)
+    least = brute_gamma_p_set(g)
+    assert (gp, tuple(seed)) == (len(least), least)
+
+
+class TestSeedSearchContracts:
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(graphs())
+    def test_random_graphs_up_to_twelve_vertices(self, g):
+        _assert_seed_searches_match_oracles(g)
+
+    def test_path_beyond_sixty_two_vertices(self):
+        """Library graphs are not limited to graph6's 62 vertices."""
+        order = [63, *range(63), *range(64, 70)]
+        g = Graph.from_edges(70, list(zip(order, order[1:])))
+        assert zero_forcing_number(g) == (1, VertexSet.of([63], 70))
+        assert power_domination_number(g) == (1, VertexSet.of([0], 70))
+        assert z_equals_delta(g) == (True, 63)
+        _assert_seed_searches_match_oracles(g)
+
+
 class TestMinDegreeWitness:
     def test_examples(self):
         assert z_equals_delta(path(6).graph) == (True, 0)
@@ -98,6 +136,18 @@ class TestMinDegreeWitness:
         k23 = complete_multipartite((2, 3)).graph
         assert z_equals_delta(k23) == (False, None)
         assert zero_forcing_number(k23)[0] == 3 > k23.min_degree()
+
+    def test_hub_is_the_first_traced_power_dominating_vertex(self, graphs_by_order):
+        """The hub, which hunt's z-eq-delta certificate names, matches the traced reference."""
+        for n in range(8):
+            for g in graphs_by_order[n]:
+                hubs = [
+                    x
+                    for x in range(n)
+                    if g.degree(x) == g.min_degree()
+                    and power_closure(g, VertexSet.of([x], n)).final == g.full_set()
+                ]
+                assert z_equals_delta(g) == ((True, hubs[0]) if hubs else (False, None))
 
     def test_one_vertex_graph_is_the_degenerate_case(self):
         # {x} power dominates K_1 with deg 0 = delta although Z(K_1) = 1
