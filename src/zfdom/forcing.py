@@ -1,17 +1,22 @@
 """Zero forcing closure, exact Z(G), and the sequence-based Grundy numbers.
 
 The color-change rule turns a blue vertex's unique non-blue neighbor blue.
-One ascending-size seed search serves Z(G) and the power domination number:
-the union of the seed's rows (single vertices for Z, closed neighborhoods
-for power domination) starts blue and must close to the whole graph.
-Z-sequences are the dual object: vertex orders in which every entry still
-sees a vertex outside the union of the previous closed neighborhoods.  The
-two exact solvers for Z and zgrundy are deliberately independent searches
-so the duality Z(G) + zgrundy(G) = n(G) can be verified rather than assumed.
+Z(G) is the cost of the cheapest way to grow closed blue sets from nothing
+to the whole graph (a wavefront search); the witness then comes from the
+seed search that also serves the power domination number, scanning only
+seeds of size Z(G): the union of the seed's rows (single vertices for Z,
+closed neighborhoods for power domination) starts blue and must close to
+the whole graph.  Z-sequences are the dual object: vertex orders in which
+every entry still sees a vertex outside the union of the previous closed
+neighborhoods.  Their DP, shared with the total variant, keys its memo by
+the uncovered vertices and splits them into independent groups.  The two
+exact solvers for Z and zgrundy are deliberately independent searches so
+the duality Z(G) + zgrundy(G) = n(G) can be verified rather than assumed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -103,13 +108,59 @@ def _least_seed(g: Graph, rows, start: int) -> tuple[int, VertexSet]:
     raise AssertionError("unreachable: the full vertex set always closes")
 
 
+@functools.cache
+def _unit_rows(n: int) -> tuple[int, ...]:
+    """Single-vertex rows for Z's seed search, built once per order."""
+    return tuple(1 << v for v in range(n))
+
+
+def _wavefront_value(g: Graph) -> int:
+    """Z(G) as the cheapest way to grow the empty set into V by closures.
+
+    A state is a closed blue mask S.  A move picks a vertex v whose closed
+    neighborhood leaves S and jumps to the closure of S | N[v]; it costs
+    |N[v] - S| - 1 seed vertices, since v then forces the last of them, or
+    one when only v itself is white (a closed S leaves no blue vertex with
+    exactly one white neighbor).  Dijkstra over integer costs, one bucket
+    per cost level: the first level holding V is Z(G) (the wavefront search
+    of Brimkov, Fast and Hicks, EJOR 2019).  A move into V at cost c ends
+    the search at once when c <= max(min degree, level + 1), since every
+    other route costs at least level + 1 and Z(G) is at least the minimum
+    degree.
+    """
+    n = g.n
+    cadj = g.cadj
+    full = g.full_mask
+    floor = g.min_degree()  # Z(G) >= min degree
+    cost = {0: 0}
+    levels = [[0]] + [[] for _ in range(n)]
+    for level, states in enumerate(levels):
+        if cost.get(full) == level:
+            return level
+        for blue in states:
+            if cost[blue] != level:
+                continue  # reached more cheaply after it was queued
+            for v in range(n):
+                white = cadj[v] & ~blue
+                if white:
+                    step = level + max(white.bit_count() - 1, 1)
+                    grown = blue | white
+                    closed = grown if grown in cost else _closure_mask(g, grown)
+                    if step < cost.get(closed, n + 1):
+                        if closed == full and step <= max(floor, level + 1):
+                            return step  # nothing left in the queue can beat it
+                        cost[closed] = step
+                        levels[step].append(closed)
+    raise AssertionError("unreachable: every move adds at least its cost in vertices")
+
+
 def zero_forcing_number(g: Graph) -> tuple[int, VertexSet]:
     """Exact Z(G) with the lexicographically least minimum forcing set.
 
-    Ascending-size seed search over single vertices, starting at the
-    minimum-degree lower bound.
+    The wavefront search gives the value; the seed search then scans only
+    that one size, in lexicographic order, for the witness.
     """
-    return _least_seed(g, [1 << v for v in range(g.n)], g.min_degree())
+    return _least_seed(g, _unit_rows(g.n), _wavefront_value(g))
 
 
 @dataclass(frozen=True)
@@ -173,41 +224,95 @@ def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     return SequenceCheck(True, tuple(footprints), None)
 
 
+def _spread(link: dict[int, int], seed: int, within: int) -> int:
+    """Everything inside ``within`` that chains of ``link`` rows reach from ``seed``."""
+    group = todo = seed
+    while todo:
+        grown = 0
+        while todo:
+            low = todo & -todo
+            grown |= link[low]
+            todo ^= low
+        todo = grown & within & ~group
+        group |= todo
+    return group
+
+
 def _grundy_sequence(g: Graph, rows) -> list[int]:
     """Lexicographically least longest sequence over the cover ``rows``.
 
     Each entry's open neighborhood must leave the union of the earlier
     entries' rows: ``g.cadj`` gives Z-sequences, ``g.adj`` the total
-    variant.  Depth-first search keyed by the covered mask; every row
-    contains the open neighborhood, so no vertex is appendable twice.
+    variant.  The memo is keyed by the uncovered mask U, which always equals
+    the union of the candidates' footprints ``rows[v] & U`` (isolated
+    vertices are dropped at the start, and every later vertex of U keeps a
+    neighbor, which is a candidate).  Candidates whose footprints do not
+    overlap, even through others, never interact, so the value is the sum
+    over those groups, each memoised on its own mask (component caching, as
+    in model counting).  Every step removes a vertex of U and no vertex is
+    appendable twice, so a group's scan stops once its value reaches
+    min(|U|, candidates).
     """
     n = g.n
     adj = g.adj
-    memo: dict[int, int] = {}
+    link: dict[int, int] = {}  # bit of u -> union of the rows that hold u
+    for row in rows:
+        todo = row
+        while todo:
+            low = todo & -todo
+            link[low] = link.get(low, 0) | row
+            todo ^= low
+    memo = {0: 0}
 
-    def best(covered: int) -> int:
-        cached = memo.get(covered)
-        if cached is not None:
-            return cached
-        value = 0
+    def best(uncovered: int) -> int:
+        low = uncovered & -uncovered
+        if link[low] & uncovered != uncovered:
+            if _spread(link, low, uncovered) != uncovered:
+                value = 0
+                rest = uncovered
+                while rest:
+                    group = _spread(link, rest & -rest, rest)
+                    sub = memo.get(group)
+                    value += best(group) if sub is None else sub
+                    rest ^= group
+                memo[uncovered] = value
+                return value
+        rests = []
         for v in range(n):
-            if adj[v] & ~covered:
-                sub = 1 + best(covered | rows[v])
-                if sub > value:
-                    value = sub
-        memo[covered] = value
+            if adj[v] & uncovered:
+                rests.append(uncovered & ~rows[v])
+        bound = min(uncovered.bit_count(), len(rests))
+        value = 0
+        for rest in rests:
+            sub = memo.get(rest)
+            if sub is None:
+                sub = best(rest)
+            if sub >= value:
+                value = sub + 1
+                if value == bound:
+                    break
+        memo[uncovered] = value
         return value
 
     sequence = []
-    covered = 0
-    remaining = best(0)
+    uncovered = 0
+    for row in adj:
+        uncovered |= row
+    remaining = memo.get(uncovered)
+    if remaining is None:
+        remaining = best(uncovered)
     while remaining:
         for v in range(n):
-            if adj[v] & ~covered and 1 + best(covered | rows[v]) == remaining:
-                sequence.append(v)
-                covered |= rows[v]
-                remaining -= 1
-                break
+            if adj[v] & uncovered:
+                rest = uncovered & ~rows[v]
+                sub = memo.get(rest)
+                if sub is None:
+                    sub = best(rest)
+                if sub + 1 == remaining:
+                    sequence.append(v)
+                    uncovered = rest
+                    remaining = sub
+                    break
     return sequence
 
 

@@ -252,6 +252,17 @@ class Graph:
 _G6_MAX = 62
 
 
+def _shown(ch: str) -> str:
+    """A character for an error message; an undecodable input byte by its value.
+
+    Input read with ``errors="surrogateescape"`` carries such a byte as a
+    lone surrogate, which says nothing to the reader.
+    """
+    if "\udc80" <= ch <= "\udcff":
+        return f"0x{ord(ch) - 0xDC00:02x}"
+    return repr(ch)
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 token into a labeled graph.
 
@@ -264,7 +275,7 @@ def parse_graph6(text: str) -> Graph:
     if first == 126:
         raise UnsupportedSizeError("long-form graph6 (n > 62) is not supported")
     if not 63 <= first <= 63 + _G6_MAX:
-        raise Graph6Error(f"invalid size byte {text[0]!r}", 0)
+        raise Graph6Error(f"invalid size byte {_shown(text[0])}", 0)
     n = first - 63
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
@@ -281,7 +292,7 @@ def parse_graph6(text: str) -> Graph:
     for off, ch in enumerate(text[1:], start=1):
         value = ord(ch) - 63
         if not 0 <= value <= 63:
-            raise Graph6Error(f"character {ch!r} outside graph6 range", off)
+            raise Graph6Error(f"character {_shown(ch)} outside graph6 range", off)
         for k in range(5, -1, -1):
             if pos >= need_bits:
                 break

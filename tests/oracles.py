@@ -41,6 +41,36 @@ def brute_zero_forcing(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set always forces")
 
 
+def skew_forcing_steps(nbrs: dict[int, set[int]], blue) -> tuple[set[int], list[tuple[int, int]]]:
+    """Skew forcing to its fixed point, with the forces in the order made.
+
+    Any vertex, blue or white, with exactly one white neighbor forces that
+    neighbor; the lowest such vertex moves first.
+    """
+    blue = set(blue)
+    steps = []
+    while True:
+        for u in sorted(nbrs):
+            white = nbrs[u] - blue
+            if len(white) == 1:
+                forced = white.pop()
+                steps.append((u, forced))
+                blue.add(forced)
+                break
+        else:
+            return blue, steps
+
+
+def brute_skew_forcing_set(g: Graph) -> tuple[int, ...]:
+    """The first skew forcing set in ``combinations`` order: smallest, then lexicographically least."""
+    nbrs = neighbor_sets(g)
+    for k in range(g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if len(skew_forcing_steps(nbrs, combo)[0]) == g.n:
+                return combo
+    raise AssertionError("the full vertex set always skew forces")
+
+
 def _least_longest_sequence(g: Graph, closed: bool) -> tuple[int, ...]:
     """The lexicographically least among the longest valid sequences.
 

@@ -136,7 +136,7 @@ def test_hunt_never_parses_a_non_ascii_byte_as_graph6(tmp_path, capsys):
     assert main(["hunt", "--predicate", "z-eq-delta", "--input", str(corpus)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.splitlines() == ["zfdom: line 1: invalid size byte '\\udcab' (byte offset 0)"]
+    assert out.err.splitlines() == ["zfdom: line 1: invalid size byte 0xab (byte offset 0)"]
 
 
 def test_hunt_refuses_large_builtin_enumeration(capsys):

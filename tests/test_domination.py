@@ -2,7 +2,6 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zfdom import (
     Graph,
@@ -40,6 +39,7 @@ from oracles import (
     is_td_set_by_sets,
     neighbor_sets,
 )
+from strategies import isolate_free_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])
 STAR3 = star(3).graph  # center 0, leaves 1..3
@@ -199,17 +199,6 @@ class TestPrivateNeighborObservation:
                             continue
                         _, epn, _ = private_neighborhoods(g, d, v)
                         assert epn, (sorted(d), v)
-
-
-@st.composite
-def isolate_free_graphs(draw, max_n=12):
-    """Random graphs on 2..max_n vertices; an isolated vertex is joined to its successor."""
-    n = draw(st.integers(2, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs)))
-    g = Graph.from_edges(n, edges)
-    extra = {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) if not g.adj[v]}
-    return Graph.from_edges(n, edges | extra)
 
 
 def _assert_matches_oracles(g: Graph) -> None:

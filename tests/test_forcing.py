@@ -1,12 +1,16 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from zfdom import (
     Graph,
     IsolatedVertexError,
     VertexSet,
     complement_duality_check,
+    forcing,
     forcing_closure,
     grundy_total_number,
     is_z_sequence,
@@ -27,11 +31,14 @@ from zfdom.families import (
 from oracles import (
     brute_grundy_total,
     brute_grundy_total_sequence,
+    brute_skew_forcing_set,
     brute_z_grundy,
     brute_z_grundy_sequence,
     brute_zero_forcing,
     neighbor_sets,
+    skew_forcing_steps,
 )
+from strategies import graphs, isolate_free_graphs
 
 
 def random_graph(n, p, rng):
@@ -44,6 +51,30 @@ def random_graph(n, p, rng):
             if rng.random() < p
         ],
     )
+
+
+def traced_calls(run, name, cap):
+    """Run ``run()`` counting the calls of the forcing function ``name`` by caller.
+
+    The count comes from a profile hook, not a clock; past ``cap`` calls the
+    hook raises, so a search that is not pruned fails instead of hanging.
+    """
+    callers = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == name and (
+            frame.f_globals is vars(forcing)
+        ):
+            callers[frame.f_back.f_code.co_name] += 1
+            if sum(callers.values()) > cap:
+                raise RuntimeError(f"more than {cap} calls of {name}")
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, callers
 
 
 class TestClosure:
@@ -118,6 +149,42 @@ class TestZeroForcingNumber:
                 assert k == brute_k
                 assert len(witness) == k and is_zero_forcing_set(g, witness)
                 assert tuple(witness) == brute_set  # lexicographically least
+
+    def test_stars_need_all_leaves_but_one(self):
+        for leaves in range(2, 9):
+            assert zero_forcing_number(star(leaves).graph) == (
+                leaves - 1,
+                VertexSet.of(range(1, leaves), leaves + 1),
+            )
+
+
+class TestWavefront:
+    def test_value_is_exact(self, graphs_by_order):
+        """The seed search would hide a low value: it climbs to the least good size."""
+        for n in range(8):
+            for g in graphs_by_order[n]:
+                assert forcing._wavefront_value(g) == brute_zero_forcing(g)[0]
+
+    @pytest.mark.parametrize(
+        "instance, value, witness, closures",
+        [
+            (windmill(3, 10), 11, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19), 2000),
+            (windmill(4, 6), 13, (0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17), 200),
+        ],
+        ids=["windmill:3,10", "windmill:4,6"],
+    )
+    def test_large_windmills_are_cheap(self, instance, value, witness, closures):
+        """The wavefront runs about 1,000 and 60 closures on these graphs.
+
+        The seed search below level Z needs more than 10^6 closures on
+        ``windmill:3,10``; the cap on all closures stops it early.
+        """
+        g = instance.graph
+        (k, found), callers = traced_calls(
+            lambda: zero_forcing_number(g), "_closure_mask", 200_000
+        )
+        assert (k, tuple(found)) == (value, witness)
+        assert 0 < callers["_wavefront_value"] <= closures
 
 
 class TestZSequences:
@@ -209,11 +276,65 @@ class TestGrundyTotalNumber:
 
 class TestGrundyWitnesses:
     def test_both_witnesses_are_the_least_optimum_sequence(self, graphs_by_order):
-        for n in range(7):
+        for n in range(8):
             for g in graphs_by_order[n]:
                 assert z_grundy_number(g)[1].vertices == brute_z_grundy_sequence(g)
                 if all(g.adj):
                     assert grundy_total_number(g)[1] == brute_grundy_total_sequence(g)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(graphs())
+    def test_random_graphs_up_to_twelve_vertices(self, g):
+        assert z_grundy_number(g)[1].vertices == brute_z_grundy_sequence(g)
+        if all(g.adj):
+            assert grundy_total_number(g)[1] == brute_grundy_total_sequence(g)
+
+    @pytest.mark.parametrize(
+        "instance, zgrundy, grundy_total",
+        [(cycle(28), 26, 26), (path(24), 23, 24), (windmill(3, 10), 10, 20)],
+        ids=["cycle:28", "path:24", "windmill:3,10"],
+    )
+    def test_search_is_pruned_on_sparse_graphs(self, instance, zgrundy, grundy_total):
+        """At most 5 n^2 DP states here; a covered-mask memo needs millions on cycle:28."""
+        g = instance.graph
+        cap = 5 * g.n**2
+        for solver, value in ((z_grundy_number, zgrundy), (grundy_total_number, grundy_total)):
+            (k, _), _ = traced_calls(lambda: solver(g), "best", cap)
+            assert k == value
+
+
+class TestSkewDuality:
+    """Lin (LAA 2019): the Grundy total domination number is n - Z_-(G).
+
+    Z_- is the skew zero forcing number.  The constructive half is checked
+    too: the vertices a skew forcing set leaves white, in reverse forcing
+    order, form a total Grundy sequence in which each forcer is a vertex
+    its forced vertex dominates first.
+    """
+
+    @staticmethod
+    def assert_dual(g):
+        seed = brute_skew_forcing_set(g)
+        assert grundy_total_number(g)[0] == g.n - len(seed)
+        nbrs = neighbor_sets(g)
+        blue, steps = skew_forcing_steps(nbrs, seed)
+        assert len(blue) == g.n
+        covered = set()
+        for forcer, forced in reversed(steps):
+            assert forcer in nbrs[forced] - covered
+            covered |= nbrs[forced]
+        assert sorted(forced for _, forced in steps) == sorted(set(range(g.n)) - set(seed))
+
+    def test_isolate_free_graphs_up_to_seven_vertices(self, graphs_by_order):
+        for n in range(2, 8):
+            for g in graphs_by_order[n]:
+                if all(g.adj):
+                    self.assert_dual(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(isolate_free_graphs())
+    def test_random_graphs_up_to_twelve_vertices(self, g):
+        self.assert_dual(g)
 
 
 class TestDuality:

@@ -119,6 +119,16 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("B")  # truncated edge data
 
+    def test_undecodable_bytes_are_named_by_value(self):
+        # bytes read with errors="surrogateescape" arrive as lone surrogates
+        line = b"B\xab".decode("ascii", "surrogateescape")
+        with pytest.raises(Graph6Error, match=r"^character 0xab outside graph6 range \(byte offset 1\)$"):
+            parse_graph6(line)
+        with pytest.raises(Graph6Error, match=r"^invalid size byte 0xc3 \(byte offset 0\)$"):
+            parse_graph6(b"\xc3\xa9".decode("ascii", "surrogateescape"))
+        with pytest.raises(Graph6Error, match=r"^invalid size byte '&' \(byte offset 0\)$"):
+            parse_graph6("&")
+
     def test_emit_rejects_large_graphs(self):
         with pytest.raises(UnsupportedSizeError):
             emit_graph6(Graph.from_edges(63, []))

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import sys
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from zfdom import (
     parse_graph6,
     powerdom,
 )
-from zfdom.families import cycle, path, windmill
+from zfdom.families import cycle, parse_family_spec, path, windmill
 from zfdom.harness import (
     CHECK_ORDER,
     FLAG_ORDER,
@@ -140,6 +141,28 @@ class TestFactCache:
         assert verdicts.pop("duality") == HOLDS
         assert verdicts.pop("min_degree_bound") == HOLDS
         assert set(verdicts.values()) == {TIMEOUT}
+
+
+class TestLargeSparseReports:
+    """Full reports on sparse graphs where Z and the Grundy numbers are large.
+
+    The JSONL lines were recorded with the covered-mask Grundy DP and the
+    ascending-size Z search, which took between 3 and 60 s per graph; each
+    must come back byte for byte.
+    """
+
+    REPORTS = pathlib.Path(__file__).parent / "data" / "large_sparse_reports.jsonl"
+
+    @pytest.mark.parametrize("spec", ["cycle:28", "path:24", "windmill:3,10", "windmill:4,6"])
+    def test_report_is_unchanged(self, spec):
+        recorded = {
+            json.loads(line)["graph6"]: line
+            for line in self.REPORTS.read_text().splitlines(keepends=True)
+        }
+        token = emit_graph6(parse_family_spec(spec).graph)
+        out = io.StringIO()
+        assert run_corpus([token], out).exit_code == 0
+        assert out.getvalue() == recorded[token]
 
 
 def _with_isolate():

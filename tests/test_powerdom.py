@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zfdom import (
     DecompositionStructureError,
@@ -31,6 +30,7 @@ from oracles import (
     outerplanar_by_apex,
     two_parallel_paths_by_definition,
 )
+from strategies import graphs
 
 K1 = Graph(1, (0,))
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -94,14 +94,6 @@ class TestPowerDominationNumber:
                 if any(not g.adj[v] for v in range(n)):
                     continue
                 assert power_domination_number(g)[0] <= total_domination_number(g)[0]
-
-
-@st.composite
-def graphs(draw, max_n=12):
-    """Random labeled graphs on 2..max_n vertices, isolated vertices allowed."""
-    n = draw(st.integers(2, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))))
 
 
 def _assert_seed_searches_match_oracles(g: Graph) -> None:
