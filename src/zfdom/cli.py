@@ -99,6 +99,10 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.budget_ms is not None and args.budget_ms < 0:
+        raise ValueError("--budget-ms must not be negative")
     checks = args.checks.split(",") if args.checks else None
     lines = _read_lines(args.input)
     summary = run_corpus(

@@ -5,15 +5,16 @@ through private neighborhoods: D is a minimal TD-set exactly when each of
 its vertices keeps a private neighbor (internal or external).
 
 One pruned depth-first search, ``_minimal_td_masks``, lists every minimal
-TD-set; γt, Γt and both enumeration streams are read off that list.  A
-minimum TD-set is minimal, so γt is the least size in it.  Streams are
-ordered by ascending mask value so downstream constructions are
-reproducible; the γt witness is the lexicographically least minimum set
-and the Γt witness the first maximum set in mask order.
+TD-set; γt, Γt and both enumeration streams are read off that list, which is
+kept for the last graph searched.  A minimum TD-set is minimal, so γt is the
+least size in it.  Streams are ordered by ascending mask value so downstream
+constructions are reproducible; the γt witness is the lexicographically
+least minimum set and the Γt witness the first maximum set in mask order.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -107,7 +108,8 @@ def is_minimal_td_set(g: Graph, d: VertexSet) -> TDCertificate | None:
     return TDCertificate(d, witnesses)
 
 
-def _minimal_td_masks(g: Graph) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
     """Masks of all minimal TD-sets of ``g``, ascending.
 
     Depth-first search over the vertices by descending degree (ties: lower
@@ -146,8 +148,7 @@ def _minimal_td_masks(g: Graph) -> list[int]:
         extend(i + 1, chosen, members, once, twice)
 
     extend(0, 0, (), 0, 0)
-    found.sort()
-    return found
+    return tuple(sorted(found))
 
 
 def total_domination_number(g: Graph) -> tuple[int, VertexSet]:

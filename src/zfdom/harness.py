@@ -11,10 +11,12 @@ streams produce byte-identical output.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import constructions, domination, forcing, powerdom
@@ -22,6 +24,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     UnsupportedSizeError,
+    VertexSet,
     delete_vertex,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -73,7 +76,11 @@ FLAG_ORDER = (
 )
 
 
-class _OutOfTime(Exception):
+class _Unknown(Exception):
+    """An invariant is undefined on the graph or out of time."""
+
+
+class _OutOfTime(_Unknown):
     """A solver would have started after the per-graph deadline."""
 
 
@@ -94,10 +101,11 @@ class _Facts:
     """The invariants of one graph, each solved at most once with its witness.
 
     Every solver run, a check's own included, goes through ``run``, which
-    raises ``_OutOfTime`` rather than start after the deadline.
+    raises ``_OutOfTime`` rather than start after the deadline.  The graph's
+    connectivity and simplicial vertices are found on first use, once.
     """
 
-    def __init__(self, g: Graph, budget_ms: int | None):
+    def __init__(self, g: Graph, budget_ms: int | None = None):
         self.g = g
         self.isolate_free = not isolated_vertices(g)
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
@@ -109,23 +117,62 @@ class _Facts:
         return solver(graph)
 
     def solve(self, name: str) -> tuple:
-        """(value, witness), or (None, None) where the invariant is undefined."""
+        """(value, witness); raises ``_Unknown`` where the invariant is undefined."""
+        solver, needs_isolate_free = _SOLVERS[name]
+        if needs_isolate_free and not self.isolate_free:
+            raise _Unknown
         if name not in self._solved:
-            solver, needs_isolate_free = _SOLVERS[name]
-            undefined = needs_isolate_free and not self.isolate_free
-            self._solved[name] = (None, None) if undefined else self.run(solver, self.g)
+            self._solved[name] = self.run(solver, self.g)
         return self._solved[name]
 
     def value(self, name: str):
         return self.solve(name)[0]
 
+    @functools.cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @functools.cached_property
+    def simplicial(self) -> VertexSet:
+        return simplicial_vertices(self.g)
+
+
+# The one definition of each extremal property.  The first two read the
+# isolate-free invariant first, so a hunt runs no solver where it is undefined.
+_FLAGS = {
+    "zgrundy_eq_gamma_t": lambda f: f.value("gamma_t") == f.value("zgrundy"),
+    "upper_total_eq_twice_zgrundy":
+        lambda f: f.value("upper_gamma_t") == 2 * f.value("zgrundy"),
+    "z_eq_min_degree":
+        lambda f: f.value("zero_forcing") == f.g.min_degree() if f.g.n else None,
+    "gamma_t_eq_zgrundy_eq_3": lambda f: (f.value("zgrundy"), f.value("gamma_t")) == (3, 3),
+    "chordal": lambda f: is_chordal(f.g),
+    "has_simplicial": lambda f: bool(f.simplicial),
+}
+
+
+def _or_none(read, *args):
+    """``read(*args)``, or None where it needs an invariant that is unknown."""
+    try:
+        return read(*args)
+    except _Unknown:
+        return None
+
+
+def _selected_checks(checks) -> tuple:
+    """The checks to run, all of them for None; a bad selection raises ValueError."""
+    selected = CHECK_ORDER if checks is None else tuple(checks)
+    for i, name in enumerate(selected):
+        if name not in CHECK_ORDER:
+            raise ValueError(f"unknown check {name!r}")
+        if name in selected[:i]:
+            raise ValueError(f"check {name!r} is selected twice")
+    return selected
+
 
 def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict:
     """One JSON-ready report for one graph6 line."""
-    selected = CHECK_ORDER if checks is None else tuple(checks)
-    for name in selected:
-        if name not in CHECK_ORDER:
-            raise ValueError(f"unknown check {name!r}")
+    selected = _selected_checks(checks)
     try:
         g = parse_graph6(line)
     except (Graph6Error, UnsupportedSizeError) as exc:
@@ -135,21 +182,12 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
 
     facts = _Facts(g, budget_ms)
     inv = {"n": g.n, "m": g.edge_count(), "min_degree": g.min_degree()}
-    for name in _SOLVERS:
-        try:
-            inv[name] = facts.value(name)
-        except _OutOfTime:
-            inv[name] = None
-
-    verdicts = {
-        name: _run_check(name, facts) for name in CHECK_ORDER if name in selected
-    }
-    flags = _flags(g, inv)
+    inv.update((name, _or_none(facts.value, name)) for name in _SOLVERS)
     return {
         "graph6": line,
         "invariants": {k: inv[k] for k in INVARIANT_ORDER},
-        "verdicts": verdicts,
-        "flags": flags,
+        "verdicts": {name: _run_check(name, facts) for name in CHECK_ORDER if name in selected},
+        "flags": {name: _or_none(_FLAGS[name], facts) for name in FLAG_ORDER},
     }
 
 
@@ -160,7 +198,8 @@ def _verdict(ok: bool) -> str:
 def _run_check(name: str, f: _Facts) -> str:
     """One verdict; ``timeout`` when a solver the check asked for is out of time.
 
-    Each check asks for its invariants before it tests its preconditions.
+    Each check asks for its invariants before it tests its preconditions; one
+    that is undefined on the graph fails them.
     """
     g = f.g
     n = g.n
@@ -182,7 +221,7 @@ def _run_check(name: str, f: _Facts) -> str:
         if name == "upper_total_bound":
             zg, gt = f.value("zgrundy"), f.value("gamma_t")
             upper, witness = f.solve("upper_gamma_t")
-            if n == 0 or not f.isolate_free:
+            if n == 0:
                 return PRECONDITION
             if not gt <= upper <= 2 * zg:
                 return VIOLATION
@@ -193,19 +232,17 @@ def _run_check(name: str, f: _Facts) -> str:
             return _verdict(2 * len(seq) >= upper)
         if name == "two_characterization":
             zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            if not is_connected(g) or n < 2 or is_clique(g, g.full_set()):
+            if not f.connected or n < 2 or is_clique(g, g.full_set()):
                 return PRECONDITION
             return _verdict((gt == 2 and zg == 2) == constructions.non_twin_pairs_see_all(g))
         if name == "simplicial_three_three":
-            zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            if not is_connected(g) or not f.isolate_free or not simplicial_vertices(g):
+            three_three = _FLAGS["gamma_t_eq_zgrundy_eq_3"](f)
+            if not f.connected or not f.simplicial:
                 return PRECONDITION
-            return _verdict(not (gt == 3 and zg == 3))
+            return _verdict(not three_three)
         if name == "simplicial_deletion":
             zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            if not f.isolate_free:
-                return PRECONDITION
-            subgraphs = [delete_vertex(g, u) for u in simplicial_vertices(g)]
+            subgraphs = [delete_vertex(g, u) for u in f.simplicial]
             subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
             if not subgraphs:
                 return PRECONDITION
@@ -232,22 +269,9 @@ def _run_check(name: str, f: _Facts) -> str:
             return _verdict((gp == 1) == recognized)
     except _OutOfTime:
         return TIMEOUT
+    except _Unknown:
+        return PRECONDITION
     raise AssertionError(f"unhandled check {name}")
-
-
-def _flags(g, inv):
-    zg = inv["zgrundy"]
-    gt = inv["gamma_t"]
-    upper = inv["upper_gamma_t"]
-    z = inv["zero_forcing"]
-    return {
-        "zgrundy_eq_gamma_t": None if None in (zg, gt) else zg == gt,
-        "upper_total_eq_twice_zgrundy": None if None in (zg, upper) else upper == 2 * zg,
-        "z_eq_min_degree": None if z is None or g.n == 0 else z == inv["min_degree"],
-        "gamma_t_eq_zgrundy_eq_3": None if None in (zg, gt) else zg == 3 and gt == 3,
-        "chordal": is_chordal(g),
-        "has_simplicial": bool(simplicial_vertices(g)),
-    }
 
 
 @dataclass
@@ -298,11 +322,6 @@ class CorpusSummary:
         }
 
 
-def _report_worker(args) -> dict:
-    line, checks, budget_ms = args
-    return compute_report(line, checks, budget_ms)
-
-
 def run_corpus(
     lines,
     out,
@@ -311,35 +330,30 @@ def run_corpus(
     budget_ms: int | None = None,
     jobs: int = 1,
 ) -> CorpusSummary:
-    """Process a graph6 stream and emit one report per line, input order."""
+    """Process a graph6 stream and emit one report per line, input order.
+
+    A bad format or check selection raises ValueError before any output.
+    With one job each report is written before the next line is read.
+    """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    stripped = [line.strip() for line in lines if line.strip()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(
-                pool.map(
-                    _report_worker,
-                    [(line, checks, budget_ms) for line in stripped],
-                    chunksize=16,
-                )
-            )
-    else:
-        reports = [compute_report(line, checks, budget_ms) for line in stripped]
-
+    selected = _selected_checks(checks)
+    report_of = functools.partial(compute_report, checks=selected, budget_ms=budget_ms)
+    stripped = (line for line in map(str.strip, lines) if line)
     summary = CorpusSummary()
-    selected = list(CHECK_ORDER if checks is None else checks)
     writer = csv.writer(out, lineterminator="\n") if fmt == "csv" else None
     if writer is not None:
         writer.writerow(
             ["graph6", "error", *INVARIANT_ORDER, *selected, *FLAG_ORDER]
         )
-    for report in reports:
-        summary.absorb(report)
-        if fmt == "jsonl":
-            out.write(json.dumps(report, separators=(",", ":")) + "\n")
-        else:
-            writer.writerow(_csv_row(report, selected))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        mapper = map if pool is None else functools.partial(pool.map, chunksize=16)
+        for report in mapper(report_of, stripped):
+            summary.absorb(report)
+            if writer is None:
+                out.write(json.dumps(report, separators=(",", ":")) + "\n")
+            else:
+                writer.writerow(_csv_row(report, selected))
     return summary
 
 
@@ -364,70 +378,51 @@ def _csv_row(report: dict, selected) -> list:
 # extremal hunting
 
 
-def _cert_zgrundy_eq_gammat(g: Graph) -> dict | None:
-    if isolated_vertices(g):
-        return None
-    gt, dset = domination.total_domination_number(g)
-    zg, seq = forcing.z_grundy_number(g)
-    if zg != gt:
-        return None
+def _cert_zgrundy_eq_gammat(f: _Facts) -> dict:
+    gt, dset = f.solve("gamma_t")
+    seq = f.solve("zgrundy")[1]
     return {"gamma_t": gt, "gamma_t_set": sorted(dset), "sequence": seq.to_json()}
 
 
-def _cert_uppertotal_eq_2zgrundy(g: Graph) -> dict | None:
-    if isolated_vertices(g):
-        return None
-    upper, dset = domination.upper_total_domination_number(g)
-    zg, seq = forcing.z_grundy_number(g)
-    if upper != 2 * zg:
-        return None
-    cert = domination.is_minimal_td_set(g, dset)
+def _cert_uppertotal_eq_2zgrundy(f: _Facts) -> dict:
+    upper, dset = f.solve("upper_gamma_t")
+    zg, seq = f.solve("zgrundy")
     return {
         "upper_gamma_t": upper,
         "zgrundy": zg,
-        "minimal_td_set": cert.to_json(),
+        "minimal_td_set": domination.is_minimal_td_set(f.g, dset).to_json(),
         "sequence": seq.to_json(),
     }
 
 
-def _cert_z_eq_delta(g: Graph) -> dict | None:
-    if g.n == 0:
-        return None
-    z, witness = forcing.zero_forcing_number(g)
-    if z != g.min_degree():
-        return None
-    found, hub = powerdom.z_equals_delta(g)
+def _cert_z_eq_delta(f: _Facts) -> dict:
+    z, witness = f.solve("zero_forcing")
+    found, hub = powerdom.z_equals_delta(f.g)
     cert: dict = {"zero_forcing": z, "forcing_set": sorted(witness)}
     if found:
-        decomposition = powerdom.extract_decomposition(g, hub)
         cert["hub"] = hub
-        cert["decomposition"] = decomposition.to_json()
+        cert["decomposition"] = powerdom.extract_decomposition(f.g, hub).to_json()
     return cert
 
 
-def _cert_three_three(g: Graph, need_chordal: bool) -> dict | None:
-    if not is_connected(g) or isolated_vertices(g):
-        return None
-    if need_chordal:
-        if not is_chordal(g):
-            return None
-    elif not simplicial_vertices(g):
-        return None
-    zg, seq = forcing.z_grundy_number(g)
-    if zg != 3:
-        return None
-    gt, dset = domination.total_domination_number(g)
-    if gt != 3:
-        return None
+def _cert_three_three(f: _Facts) -> dict:
+    dset, seq = f.solve("gamma_t")[1], f.solve("zgrundy")[1]
     return {"gamma_t_set": sorted(dset), "sequence": seq.to_json()}
 
 
+def _connected_and(flag: str):
+    """A hunt's extra condition: the graph is connected and has ``flag``."""
+    return lambda f: f.connected and _FLAGS[flag](f)
+
+
+# predicate -> (flag, extra condition tested first, certificate builder)
 PREDICATES = {
-    "zgrundy-eq-gammat": _cert_zgrundy_eq_gammat,
-    "uppertotal-eq-2zgrundy": _cert_uppertotal_eq_2zgrundy,
-    "z-eq-delta": _cert_z_eq_delta,
-    "chordal-3-3": lambda g: _cert_three_three(g, need_chordal=True),
-    "simplicial-3-3": lambda g: _cert_three_three(g, need_chordal=False),
+    "zgrundy-eq-gammat": ("zgrundy_eq_gamma_t", None, _cert_zgrundy_eq_gammat),
+    "uppertotal-eq-2zgrundy": ("upper_total_eq_twice_zgrundy", None, _cert_uppertotal_eq_2zgrundy),
+    "z-eq-delta": ("z_eq_min_degree", None, _cert_z_eq_delta),
+    "chordal-3-3": ("gamma_t_eq_zgrundy_eq_3", _connected_and("chordal"), _cert_three_three),
+    "simplicial-3-3":
+        ("gamma_t_eq_zgrundy_eq_3", _connected_and("has_simplicial"), _cert_three_three),
 }
 
 
@@ -438,7 +433,7 @@ def hunt_extremal(predicate: str, n: int | None = None, graphs=None):
     of Graph) to hunt over an externally prepared corpus instead.
     """
     try:
-        fn = PREDICATES[predicate]
+        flag, extra, certificate = PREDICATES[predicate]
     except KeyError:
         raise ValueError(
             f"unknown predicate {predicate!r}; choose from {sorted(PREDICATES)}"
@@ -448,12 +443,12 @@ def hunt_extremal(predicate: str, n: int | None = None, graphs=None):
             raise ValueError("hunting needs either a size or an external corpus")
         graphs = enumerate_labeled_graphs(n)
     for g in graphs:
-        cert = fn(g)
-        if cert is not None:
+        f = _Facts(g)
+        if (extra is None or extra(f)) and _or_none(_FLAGS[flag], f):
             yield {
                 "graph6": emit_graph6(g),
                 "predicate": predicate,
-                "certificate": cert,
+                "certificate": certificate(f),
             }
 
 

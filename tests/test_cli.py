@@ -49,6 +49,29 @@ def test_run_csv_with_selected_checks(tmp_path, capsys):
     assert "duality" in header and "parallel_paths" not in header
 
 
+@pytest.mark.parametrize("bad", [["--jobs", "0"], ["--budget-ms", "-5"]])
+def test_run_rejects_out_of_range_numbers(bad, tmp_path, capsys):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text("Bw\n")
+    assert main(["run", str(corpus), *bad]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"zfdom: {bad[0]} ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "text, checks, message",
+    [("", "nonsense", "unknown check 'nonsense'"),
+     ("Bw\n", "duality,duality", "check 'duality' is selected twice")],
+)
+def test_run_rejects_a_bad_check_selection(jobs, text, checks, message, tmp_path, capsys):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text(text)
+    assert main(["run", str(corpus), "--checks", checks, "--jobs", jobs, "--format", "csv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"zfdom: {message}\n"
+
+
 def test_hunt_requires_exactly_one_source(capsys):
     assert main(["hunt", "--predicate", "z-eq-delta"]) == 2
     assert main(["hunt", "--predicate", "z-eq-delta", "--n", "4"]) == 0

@@ -13,6 +13,8 @@ from zfdom import (
     enumerate_labeled_graphs,
     forcing,
     harness,
+    is_connected,
+    isolated_vertices,
     parse_graph6,
     powerdom,
 )
@@ -90,8 +92,19 @@ class TestFactCache:
         run exactly once on the graph from any module: the sequence
         construction takes the minimum sets without a γt call of its own.
         Calls on subgraphs (the simplicial deletion check) do not count.
+        The minimal TD-set search and the structural tests on the graph are
+        counted as Python frames, so a cache hit is not a call.
         """
         g = parse_graph6(token)
+        frames = dict.fromkeys(
+            ("_minimal_td_masks", "simplicial_vertices", "is_connected", "is_chordal"), 0
+        )
+
+        def profile(frame, event, arg):
+            name = frame.f_code.co_name
+            if event == "call" and name in frames and frame.f_locals.get("g") == g:
+                frames[name] += 1
+
         calls = {name: 0 for _, name in self.SOLVERS}
         any_caller = {name: 0 for _, name in self.SOLVERS}
 
@@ -113,11 +126,16 @@ class TestFactCache:
             "check_gamma_two_characterization",
             lambda h: characterization_calls.append(h),
         )
-        report = compute_report(token)
+        sys.setprofile(profile)
+        try:
+            report = compute_report(token)
+        finally:
+            sys.setprofile(None)
         assert calls == {name: 1 for _, name in self.SOLVERS}
         assert any_caller["total_domination_number"] == 1
         assert characterization_calls == []
         assert TIMEOUT not in report["verdicts"].values()
+        assert all(count <= 1 for count in frames.values()), frames
 
     def test_checks_with_computed_inputs_survive_the_deadline(self, monkeypatch):
         """The budget runs out once zgrundy is known: a fake clock jumps past
@@ -141,6 +159,14 @@ class TestFactCache:
         assert verdicts.pop("duality") == HOLDS
         assert verdicts.pop("min_degree_bound") == HOLDS
         assert set(verdicts.values()) == {TIMEOUT}
+        assert report["flags"] == {
+            "zgrundy_eq_gamma_t": None,
+            "upper_total_eq_twice_zgrundy": None,
+            "z_eq_min_degree": True,
+            "gamma_t_eq_zgrundy_eq_3": None,
+            "chordal": False,
+            "has_simplicial": False,
+        }
 
 
 class TestLargeSparseReports:
@@ -205,6 +231,17 @@ class TestRunCorpus:
         run_corpus(self.lines()[:10], b, jobs=2)
         assert a.getvalue() == b.getvalue()
 
+    def test_each_report_is_written_before_the_next_line_is_read(self):
+        out = io.StringIO()
+        tokens = self.lines()[:5]
+
+        def feed():
+            for k, token in enumerate(tokens):
+                assert len(out.getvalue().splitlines()) == k
+                yield token
+
+        assert run_corpus(feed(), out).graphs == 5
+
     def test_parse_failures_recorded_and_exit_two(self):
         out = io.StringIO()
         summary = run_corpus(["Bw\n", "zz\x01z\n", "Bg\n"], out)
@@ -259,6 +296,29 @@ class TestHunt:
         graphs = [windmill(3, 2).graph, path(6).graph]
         hits = list(hunt_extremal("uppertotal-eq-2zgrundy", graphs=graphs))
         assert len(hits) == 1
+
+    def test_hits_agree_with_the_report_flags(self, graphs_by_order):
+        """Each predicate hits exactly where the report's flags say it should."""
+        for n in range(7):
+            for g in graphs_by_order[n]:
+                flags = compute_report(emit_graph6(g))["flags"]
+                three_three = (
+                    flags["gamma_t_eq_zgrundy_eq_3"]
+                    and is_connected(g)
+                    and not isolated_vertices(g)
+                )
+                expected = {
+                    "zgrundy-eq-gammat": flags["zgrundy_eq_gamma_t"],
+                    "uppertotal-eq-2zgrundy": flags["upper_total_eq_twice_zgrundy"],
+                    "z-eq-delta": flags["z_eq_min_degree"],
+                    "chordal-3-3": three_three and flags["chordal"],
+                    "simplicial-3-3": three_three and flags["has_simplicial"],
+                }
+                hits = {
+                    predicate: bool(list(hunt_extremal(predicate, graphs=[g])))
+                    for predicate in expected
+                }
+                assert hits == {k: bool(v) for k, v in expected.items()}, emit_graph6(g)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown predicate"):
