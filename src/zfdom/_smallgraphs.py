@@ -1,14 +1,18 @@
 """Internal catalogues of small graphs up to isomorphism.
 
 Prepares the isomorph-reduced corpora that the exhaustive verification
-suite ingests (one labeled representative per isomorphism class).  Not part
-of the public API: the library itself never canonicalizes, and the CLI only
-enumerates labeled graphs up to n = 6.
+suite ingests (one labeled representative per isomorphism class).  Each
+order is built from the one below by adding a vertex in every possible way
+and keeping the first child of each isomorphism class, recognised by a
+canonical code from an individualisation-refinement search (McKay &
+Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 2014).
+Not part of the public API: the library itself never canonicalizes, and
+the CLI only enumerates labeled graphs up to n = 6.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator, Sequence
 
 from .graphs import Graph, bits
 
@@ -16,55 +20,88 @@ _all_cache: dict[int, list[Graph]] = {}
 _connected_cache: dict[int, list[Graph]] = {}
 
 
-def _refined_classes(g: Graph) -> list[list[int]]:
-    """Partition vertices by an isomorphism-invariant iterated coloring.
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` until it is equitable.
 
-    Start from degrees and refine by the multiset of neighbor colors until
-    the class count stabilizes.  Class order (by color rank) is itself
-    invariant, so a canonical form may search only class-respecting orders.
+    Cells and splitters are vertex bitmasks.  Each splitter divides every
+    cell by the number of neighbours its vertices have in the splitter; the
+    parts replace the cell in ascending count order and become splitters in
+    turn.  Every step depends only on counts and cell positions, so the
+    result commutes with relabelling the graph.
     """
-    n = g.n
-    colors = [g.adj[v].bit_count() for v in range(n)]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
-            for v in range(n)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new_colors = [rank[key] for key in keys]
-        if len(set(new_colors)) == len(set(colors)):
-            colors = new_colors
+    n = len(adj)
+    for s in splitters:  # the loop also visits the splitters appended below
+        if len(cells) == n:
             break
-        colors = new_colors
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                k = (adj[low.bit_length() - 1] & s).bit_count()
+                if k in groups:
+                    groups[k] |= low
+                else:
+                    groups[k] = low
+                rest ^= low
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            parts = [groups[k] for k in sorted(groups)]
+            out.extend(parts)
+            splitters.extend(parts)
+        cells = out
+    return cells
 
 
-def canonical_code(g: Graph) -> int:
-    """Isomorphism-invariant integer identifying ``g`` among same-order graphs.
+def _leaf_codes(adj: Sequence[int], cells: list[int]) -> Iterator[int]:
+    """Adjacency codes of the discrete leaves below an equitable partition.
 
-    Minimum upper-triangle adjacency code over all vertex orders compatible
-    with the refined color classes.  Two graphs of equal order get the same
-    code exactly when they are isomorphic.
+    The search individualises each vertex of the first non-singleton cell
+    in turn and refines from it.  A vertex is skipped when it is a twin of
+    a sibling already tried, ``adj[u] - v == adj[v] - u``: swapping twins
+    is an automorphism that fixes the path, so its subtree has the same
+    leaf codes.
     """
-    n = g.n
+    n = len(adj)
+    if len(cells) == n:
+        code = 0
+        order = [cell.bit_length() - 1 for cell in cells]
+        for i, u in enumerate(order):
+            row = adj[u]
+            for v in order[i + 1:]:
+                code = code << 1 | (row >> v & 1)
+        yield code
+        return
+    i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+    target = cells[i]
+    tried: list[int] = []
+    for v in bits(target):
+        if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+            continue
+        tried.append(v)
+        child = cells[:i] + [1 << v, target ^ 1 << v] + cells[i + 1:]
+        yield from _leaf_codes(adj, _refine(adj, child, [1 << v]))
+
+
+def canonical_code(adj: Sequence[int]) -> int:
+    """Isomorphism-invariant integer identifying a graph among same-order graphs.
+
+    ``adj`` is the graph's list of adjacency bitmask rows.  The code is the
+    least upper-triangle adjacency code over the leaves of the
+    individualisation-refinement search tree, whose leaves are the vertex
+    orders read off the discrete partitions.  Two graphs of equal order get
+    the same code exactly when they are isomorphic.
+    """
+    n = len(adj)
     if n <= 1:
         return 0
-    adj = g.adj
-    classes = _refined_classes(g)
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        order = [v for part in parts for v in part]
-        code = 0
-        for i in range(n):
-            row = adj[order[i]]
-            for j in range(i + 1, n):
-                code = code << 1 | (row >> order[j] & 1)
-        if best is None or code < best:
-            best = code
-    return best
+    everyone = (1 << n) - 1
+    return min(_leaf_codes(adj, _refine(adj, [everyone], [everyone])))
 
 
 def graphs_upto_iso(n: int) -> list[Graph]:
@@ -102,6 +139,7 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
 
 
 def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:
+    """First child of each isomorphism class, in enumeration order."""
     seen: set[int] = set()
     out: list[Graph] = []
     for parent in parents:
@@ -110,15 +148,14 @@ def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:
         for subset in range(start, 1 << m):
             rows = [row | (subset >> v & 1) << m for v, row in enumerate(parent.adj)]
             rows.append(subset)
-            child = Graph(m + 1, rows)
-            code = canonical_code(child)
+            code = canonical_code(rows)
             if code not in seen:
                 seen.add(code)
-                out.append(child)
+                out.append(Graph(m + 1, rows))
     return out
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         return False
-    return canonical_code(g) == canonical_code(h)
+    return canonical_code(g.adj) == canonical_code(h.adj)

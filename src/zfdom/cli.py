@@ -9,9 +9,11 @@ extremal graphs, ``explain`` prints one invariant with its certificate, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
+from collections.abc import Iterator
 
 from .families import parse_family_spec
 from .graphs import Graph6Error, UnsupportedSizeError, emit_graph6, parse_graph6
@@ -83,19 +85,25 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a graph6 file, or of stdin for ``-``, decoded as ASCII.
+@contextlib.contextmanager
+def _input_lines(path: str) -> Iterator[io.TextIOWrapper]:
+    """The lines of a graph6 file, or of stdin for ``-``, read lazily as ASCII.
 
-    A non-ASCII byte becomes a lone surrogate, which no graph6 text contains,
-    so only its own line fails to parse, at the byte's own offset.
+    A line is available as soon as it arrives, so ``run`` reports on a pipe
+    before the writer closes it.  A non-ASCII byte becomes a lone surrogate,
+    which no graph6 text contains, so only its own line fails to parse, at
+    the byte's own offset.  Stdin is left open.
     """
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    text = data.decode("ascii", errors="surrogateescape")
-    return io.StringIO(text, newline=None).readlines()
+    decoding = {"encoding": "ascii", "errors": "surrogateescape", "newline": None}
+    if path != "-":
+        with open(path, **decoding) as lines:
+            yield lines
+        return
+    lines = io.TextIOWrapper(sys.stdin.buffer, **decoding)
+    try:
+        yield lines
+    finally:
+        lines.detach()
 
 
 def _cmd_run(args) -> int:
@@ -104,15 +112,15 @@ def _cmd_run(args) -> int:
     if args.budget_ms is not None and args.budget_ms < 0:
         raise ValueError("--budget-ms must not be negative")
     checks = args.checks.split(",") if args.checks else None
-    lines = _read_lines(args.input)
-    summary = run_corpus(
-        lines,
-        sys.stdout,
-        checks=checks,
-        fmt=args.format,
-        budget_ms=args.budget_ms,
-        jobs=args.jobs,
-    )
+    with _input_lines(args.input) as lines:
+        summary = run_corpus(
+            lines,
+            sys.stdout,
+            checks=checks,
+            fmt=args.format,
+            budget_ms=args.budget_ms,
+            jobs=args.jobs,
+        )
     print(json.dumps(summary.to_json()), file=sys.stderr)
     return summary.exit_code
 
@@ -125,14 +133,15 @@ def _cmd_hunt(args) -> int:
     bad_lines = 0
     if args.input is not None:
         graphs = []
-        for number, line in enumerate(_read_lines(args.input), start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(parse_graph6(line.strip()))
-            except (Graph6Error, UnsupportedSizeError) as exc:
-                bad_lines += 1
-                print(f"zfdom: line {number}: {exc}", file=sys.stderr)
+        with _input_lines(args.input) as lines:
+            for number, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    graphs.append(parse_graph6(line.strip()))
+                except (Graph6Error, UnsupportedSizeError) as exc:
+                    bad_lines += 1
+                    print(f"zfdom: line {number}: {exc}", file=sys.stderr)
     for hit in hunt_extremal(args.predicate, n=args.n, graphs=graphs):
         print(json.dumps(hit, separators=(",", ":")))
     return 2 if bad_lines else 0

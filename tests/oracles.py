@@ -216,6 +216,23 @@ def has_long_induced_cycle(g: Graph) -> bool:
     return False
 
 
+def isomorphic_by_permutation(g: Graph, h: Graph) -> bool:
+    """Whether some bijection of the vertices maps the edges of ``g`` onto those of ``h``.
+
+    Tries all n! maps.  With equal edge counts, a map that sends every edge
+    of ``g`` to an edge of ``h`` is onto the edges of ``h``.
+    """
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+    targets = set(h.edges())
+    targets |= {(v, u) for u, v in targets}
+    edges = list(g.edges())
+    return any(
+        all((p[u], p[v]) in targets for u, v in edges)
+        for p in permutations(range(g.n))
+    )
+
+
 def encode_graph6_by_hand(g: Graph) -> str:
     """Direct transcription of the graph6 byte layout."""
     assert g.n <= 62

@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import pathlib
+import select
+import subprocess
+import sys
 
 import pytest
 
+import zfdom
 from zfdom.cli import main
 
 
@@ -125,6 +131,31 @@ def test_run_reports_a_non_ascii_line_as_a_parse_failure(source, fmt, tmp_path, 
     summary = json.loads(out.err)
     assert summary["graphs"] == 3 and summary["parse_failures"] == 1
     assert summary["failed_lines"] == ["\\xc3\\xa9"]
+
+
+def test_run_reports_a_stdin_line_before_the_input_ends(tmp_path, capsys):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Bw\n")
+    assert main(["run", str(corpus)]) == 0
+    expected = capsys.readouterr().out.encode()
+    package_root = str(pathlib.Path(zfdom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "zfdom.cli", "run", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        proc.stdin.write(b"Bw\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no report before stdin closed"
+        first = proc.stdout.readline()
+        rest, err = proc.communicate(timeout=30)  # closes stdin
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert first == expected and rest == b""
+    assert proc.returncode == 0 and json.loads(err)["graphs"] == 1
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
