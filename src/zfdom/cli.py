@@ -15,7 +15,6 @@ import json
 import sys
 from collections.abc import Iterator
 
-from .families import parse_family_spec
 from .graphs import Graph6Error, UnsupportedSizeError, emit_graph6, parse_graph6
 from .harness import CHECK_ORDER, PREDICATES, explain, hunt_extremal, run_corpus
 
@@ -67,6 +66,8 @@ def main(argv=None) -> int:
             print(explain(args.graph6, args.invariant), end="")
             return 0
         if args.command == "family":
+            from .families import parse_family_spec  # only this command builds families
+
             instance = parse_family_spec(args.spec)
             print(emit_graph6(instance.graph))
             if args.expected:

@@ -10,13 +10,13 @@ streams produce byte-identical output.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
+import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import constructions, domination, forcing, powerdom
@@ -333,7 +333,10 @@ def run_corpus(
     """Process a graph6 stream and emit one report per line, input order.
 
     A bad format or check selection raises ValueError before any output.
-    With one job each report is written before the next line is read.
+    Each report is flushed as it is written.  With one job each report is
+    written before the next line is read; with more, at most
+    ``CHUNKS_PER_JOB * jobs`` chunks of ``CHUNK_LINES`` lines are read and
+    not yet written.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -346,15 +349,44 @@ def run_corpus(
         writer.writerow(
             ["graph6", "error", *INVARIANT_ORDER, *selected, *FLAG_ORDER]
         )
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        mapper = map if pool is None else functools.partial(pool.map, chunksize=16)
-        for report in mapper(report_of, stripped):
-            summary.absorb(report)
-            if writer is None:
-                out.write(json.dumps(report, separators=(",", ":")) + "\n")
-            else:
-                writer.writerow(_csv_row(report, selected))
+    reports = _pool_map(report_of, stripped, jobs) if jobs > 1 else map(report_of, stripped)
+    for report in reports:
+        summary.absorb(report)
+        if writer is None:
+            out.write(json.dumps(report, separators=(",", ":")) + "\n")
+        else:
+            writer.writerow(_csv_row(report, selected))
+        out.flush()
     return summary
+
+
+CHUNK_LINES = 16
+# enough queued work that one slow chunk at the head leaves no worker idle
+CHUNKS_PER_JOB = 4
+
+
+def _pool_map(fn, items, jobs: int):
+    """``map(fn, items)`` on ``jobs`` worker processes, in input order.
+
+    Items go to the workers in chunks of ``CHUNK_LINES``.  At most
+    ``CHUNKS_PER_JOB * jobs`` chunks are read and not yet yielded, so
+    neither the input nor the results are held whole.
+    """
+    # imported here: one job never starts a pool, and the import is a
+    # noticeable share of a short run's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = iter(lambda: list(itertools.islice(items, CHUNK_LINES)), [])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        submit = functools.partial(pool.submit, _map_chunk, fn)
+        pending = collections.deque(map(submit, itertools.islice(chunks, CHUNKS_PER_JOB * jobs)))
+        while pending:
+            yield from pending.popleft().result()
+            pending.extend(map(submit, itertools.islice(chunks, 1)))
+
+
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
 
 
 def _csv_row(report: dict, selected) -> list:

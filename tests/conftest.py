@@ -1,11 +1,21 @@
+import os
 import pathlib
 
 import pytest
 
+import zfdom
 from zfdom import Graph, emit_graph6, parse_graph6
 from zfdom._smallgraphs import connected_graphs_upto_iso, graphs_upto_iso
 
 CACHE_DIR = pathlib.Path(__file__).parent / ".corpus_cache"
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment for a child Python that imports this checkout's zfdom."""
+    package_root = str(pathlib.Path(zfdom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

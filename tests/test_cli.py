@@ -1,14 +1,11 @@
 import io
 import json
-import os
-import pathlib
 import select
 import subprocess
 import sys
 
 import pytest
 
-import zfdom
 from zfdom.cli import main
 
 
@@ -133,15 +130,17 @@ def test_run_reports_a_non_ascii_line_as_a_parse_failure(source, fmt, tmp_path, 
     assert summary["failed_lines"] == ["\\xc3\\xa9"]
 
 
-def test_run_reports_a_stdin_line_before_the_input_ends(tmp_path, capsys):
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["with-u", "without-u"])
+def test_run_reports_a_stdin_line_before_the_input_ends(unbuffered, child_env, tmp_path, capsys):
     corpus = tmp_path / "one.g6"
     corpus.write_text("Bw\n")
     assert main(["run", str(corpus)]) == 0
     expected = capsys.readouterr().out.encode()
-    package_root = str(pathlib.Path(zfdom.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    env = dict(child_env)
+    if not unbuffered:
+        env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "zfdom.cli", "run", "-"],
+        [sys.executable, *(["-u"] if unbuffered else []), "-m", "zfdom.cli", "run", "-"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     try:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -21,6 +22,8 @@ from zfdom import (
 from zfdom.families import cycle, parse_family_spec, path, windmill
 from zfdom.harness import (
     CHECK_ORDER,
+    CHUNK_LINES,
+    CHUNKS_PER_JOB,
     FLAG_ORDER,
     HOLDS,
     INVARIANT_ORDER,
@@ -241,6 +244,32 @@ class TestRunCorpus:
                 yield token
 
         assert run_corpus(feed(), out).graphs == 5
+
+    def test_a_pool_reads_a_bounded_number_of_lines_ahead(self):
+        pulled = 0
+        pulled_at_first_write = []
+
+        lines = list(itertools.islice(itertools.cycle(self.lines()), 200))
+
+        def feed():
+            nonlocal pulled
+            for line in lines:
+                pulled += 1
+                yield line
+
+        class Out(io.StringIO):
+            def write(self, text):
+                if not pulled_at_first_write:
+                    pulled_at_first_write.append(pulled)
+                return super().write(text)
+
+        out = Out()
+        assert run_corpus(feed(), out, jobs=2).graphs == 200
+        bound = CHUNKS_PER_JOB * 2 * CHUNK_LINES
+        assert bound < 200 and pulled_at_first_write[0] <= bound
+        in_one_job = io.StringIO()
+        run_corpus(lines, in_one_job)
+        assert out.getvalue() == in_one_job.getvalue()
 
     def test_parse_failures_recorded_and_exit_two(self):
         out = io.StringIO()
