@@ -233,6 +233,19 @@ def isomorphic_by_permutation(g: Graph, h: Graph) -> bool:
     )
 
 
+def automorphisms_by_permutation(g: Graph) -> set[tuple[int, ...]]:
+    """Every automorphism of ``g``, as the tuple of vertex images.
+
+    Tries all n! maps and keeps those that send every edge to an edge.
+    """
+    edges = list(g.edges())
+    targets = set(edges) | {(v, u) for u, v in edges}
+    return {
+        p for p in permutations(range(g.n))
+        if all((p[u], p[v]) in targets for u, v in edges)
+    }
+
+
 def encode_graph6_by_hand(g: Graph) -> str:
     """Direct transcription of the graph6 byte layout."""
     assert g.n <= 62

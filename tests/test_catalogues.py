@@ -1,6 +1,7 @@
 """The isomorph-reduced catalogues feeding the exhaustive suites."""
 
 import hashlib
+import pathlib
 import random
 import time
 from itertools import combinations_with_replacement
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import isomorphic_by_permutation
+from oracles import automorphisms_by_permutation, isomorphic_by_permutation
 from strategies import circulants, cycle_unions, graphs, graphs_with_twins
-from zfdom import Graph, emit_graph6, is_connected
+from zfdom import Graph, UnsupportedSizeError, emit_graph6, is_connected
+from zfdom import _smallgraphs
 from zfdom._smallgraphs import (
+    _search,
     are_isomorphic,
     canonical_code,
     connected_graphs_upto_iso,
@@ -39,6 +42,52 @@ def test_counts_match_the_published_sequences():
 def test_order_seven_catalogues_keep_their_representatives_and_order(catalogue, sha256_prefix):
     text = "".join(emit_graph6(g) + "\n" for g in catalogue(7))
     assert hashlib.sha256(text.encode("ascii")).hexdigest()[:16] == sha256_prefix
+
+
+def test_building_both_order_seven_catalogues_canonicalises_9918_children(monkeypatch):
+    """A machine-independent work count: one child per orbit of its parent's group.
+
+    Canonicalising every subset's child cost 19,106 calls.
+    """
+    calls = []
+
+    def counted(adj):
+        calls.append(1)
+        return canonical_code(adj)
+
+    monkeypatch.setattr(_smallgraphs, "_all_cache", {})
+    monkeypatch.setattr(_smallgraphs, "_connected_cache", {})
+    monkeypatch.setattr(_smallgraphs, "canonical_code", counted)
+    graphs_upto_iso(7)
+    connected_graphs_upto_iso(7)
+    assert len(calls) == 9918
+
+
+@pytest.mark.parametrize("catalogue", [graphs_upto_iso, connected_graphs_upto_iso])
+def test_catalogues_refuse_more_than_nine_vertices_at_once(catalogue, monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSizeError):
+        catalogue(10)
+    assert time.perf_counter() - start < 0.1
+
+    class Extending(Exception):
+        pass
+
+    def extend(parents, include_empty):
+        raise Extending
+
+    monkeypatch.setattr(_smallgraphs, "_extend", extend)
+    with pytest.raises(Extending):  # order 9 is built, not refused
+        catalogue(9)
+
+
+@pytest.mark.extended
+def test_order_eight_connected_catalogue_regenerates_the_cached_corpus(monkeypatch):
+    """Generation itself, not the ``connected_eight`` fixture, which reads the file."""
+    monkeypatch.delitem(_smallgraphs._connected_cache, 8, raising=False)
+    cached = pathlib.Path(__file__).parent / ".corpus_cache" / "connected_n8.g6"
+    text = "".join(emit_graph6(g) + "\n" for g in connected_graphs_upto_iso(8))
+    assert text.encode("ascii") == cached.read_bytes()
 
 
 def test_connected_catalogue_is_connected():
@@ -130,6 +179,75 @@ def test_symmetric_graphs_canonicalise_quickly():
     elapsed = time.perf_counter() - start
     assert {name: a == b for name, (a, b) in codes.items()} == dict.fromkeys(SYMMETRIC, True)
     assert elapsed < 1.0
+
+
+def _generated_group(generators, n):
+    """Every product of ``generators``, as tuples of vertex images."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for p in frontier:  # the loop also visits the permutations appended below
+        for g in generators:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _image(perm, subset):
+    return sum(1 << perm[v] for v in range(len(perm)) if subset >> v & 1)
+
+
+def test_search_generators_generate_the_whole_automorphism_group():
+    for n in range(7):
+        for g in graphs_upto_iso(n):
+            expected = automorphisms_by_permutation(g)
+            assert _generated_group(_search(g.adj)[1], n) == expected
+
+
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_extension_canonicalises_the_least_subset_of_each_orbit(include_empty, monkeypatch):
+    coded = []
+
+    def recording(adj):
+        m = len(adj) - 1
+        coded.append((tuple(row & ~(1 << m) for row in adj[:m]), adj[m]))
+        return canonical_code(adj)
+
+    monkeypatch.setattr(_smallgraphs, "canonical_code", recording)
+    expected = []
+    for n in range(7):
+        parents = graphs_upto_iso(n)
+        _smallgraphs._extend(parents, include_empty)
+        for parent in parents:
+            group = automorphisms_by_permutation(parent)
+            expected += [
+                (parent.adj, subset)
+                for subset in range(0 if include_empty else 1, 1 << n)
+                if all(_image(p, subset) >= subset for p in group)
+            ]
+    assert coded == expected
+
+
+def test_symmetric_graphs_have_the_vertex_orbits_of_their_groups():
+    """Orbits under the generators alone: the closure of K9's would hold 9! maps."""
+    orbit_counts = {}
+    for name, g in SYMMETRIC.items():
+        generators = _search(g.adj)[1]
+        placed: set[int] = set()
+        orbit_counts[name] = 0
+        for v in range(g.n):
+            if v in placed:
+                continue
+            orbit_counts[name] += 1
+            placed.add(v)
+            orbit = [v]
+            for u in orbit:  # the loop also visits the vertices appended below
+                for p in generators:
+                    if p[u] not in placed:
+                        placed.add(p[u])
+                        orbit.append(p[u])
+    assert orbit_counts == {name: 2 if name == "K4,5" else 1 for name in SYMMETRIC}
 
 
 def test_isomorphism_spot_checks():
