@@ -223,7 +223,7 @@ def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:
             code = canonical_code(rows)
             if code not in seen:
                 seen.add(code)
-                out.append(Graph(m + 1, rows))
+                out.append(Graph._derived(m + 1, rows))
     return out
 
 

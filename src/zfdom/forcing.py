@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, require_isolate_free
+from .graphs import Graph, VertexSet, bits, require_isolate_free
 
 
 @dataclass(frozen=True)
@@ -90,21 +90,28 @@ def is_zero_forcing_set(g: Graph, s: VertexSet) -> bool:
     return _closure_mask(g, s.mask) == g.full_mask
 
 
-def _least_seed(g: Graph, rows, start: int) -> tuple[int, VertexSet]:
+def _least_seed(g: Graph, rows, start: int, base: int = 0) -> tuple[int, VertexSet]:
     """Least seed size from ``start`` on, with the lexicographically least seed.
 
     A seed is good when the union of its vertices' ``rows`` closes to the
     whole vertex set; every row holds its own vertex, so the search ends.
+    Only seeds that hold every vertex of the mask ``base`` are scanned: each
+    is ``base`` joined with a subset of the other vertices, and those seeds
+    come in the same lexicographic order as the subsets.
     """
     n = g.n
     full = g.full_mask
+    free = [v for v in range(n) if not base >> v & 1]
+    blue = 0
+    for v in bits(base):
+        blue |= rows[v]
     for k in range(start, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
+        for combo in itertools.combinations(free, k - base.bit_count()):
+            mask = blue
             for v in combo:
                 mask |= rows[v]
             if _closure_mask(g, mask) == full:
-                return k, VertexSet.of(combo, n)
+                return k, VertexSet.of(combo, n) | VertexSet(base, n)
     raise AssertionError("unreachable: the full vertex set always closes")
 
 
@@ -114,26 +121,50 @@ def _unit_rows(n: int) -> tuple[int, ...]:
     return tuple(1 << v for v in range(n))
 
 
-def _wavefront_value(g: Graph) -> int:
-    """Z(G) as the cheapest way to grow the empty set into V by closures.
+def _twin_seed(g: Graph) -> int:
+    """The vertices that have a twin (open or closed) of higher index, as a mask.
 
-    A state is a closed blue mask S.  A move picks a vertex v whose closed
-    neighborhood leaves S and jumps to the closure of S | N[v]; it costs
-    |N[v] - S| - 1 seed vertices, since v then forces the last of them, or
-    one when only v itself is white (a closed S leaves no blue vertex with
-    exactly one white neighbor).  Dijkstra over integer costs, one bucket
-    per cost level: the first level holding V is Z(G) (the wavefront search
-    of Brimkov, Fast and Hicks, EJOR 2019).  A move into V at cost c ends
-    the search at once when c <= max(min degree, level + 1), since every
-    other route costs at least level + 1 and Z(G) is at least the minimum
-    degree.
+    Two white twins are never forced: a vertex adjacent to one is adjacent
+    to both.  So every zero forcing set holds all but one vertex of each
+    class of pairwise twins.  Swapping two twins is an automorphism, so the
+    lexicographically least minimum forcing set leaves out only the highest
+    vertex of each class, and holds this mask.
+    """
+    # u and v are open twins when adj[u] == adj[v], closed ones when
+    # cadj[u] == cadj[v]; an open row never equals a closed one
+    seen = set()
+    seed = 0
+    for v in range(g.n - 1, -1, -1):
+        if g.adj[v] in seen or g.cadj[v] in seen:
+            seed |= 1 << v
+        seen.add(g.adj[v])
+        seen.add(g.cadj[v])
+    return seed
+
+
+def _wavefront_value(g: Graph, seed: int = 0) -> int:
+    """Z(G) as the cheapest way to grow the closure of ``seed`` into V by closures.
+
+    ``seed`` must lie inside some minimum forcing set; the search starts
+    from its closure at cost |seed|.  A state is a closed blue mask S.  A
+    move picks a vertex v whose closed neighborhood leaves S and jumps to
+    the closure of S | N[v]; it costs |N[v] - S| - 1 seed vertices, since v
+    then forces the last of them, or one when only v itself is white (a
+    closed S leaves no blue vertex with exactly one white neighbor).
+    Dijkstra over integer costs, one bucket per cost level: the first level
+    holding V is Z(G) (the wavefront search of Brimkov, Fast and Hicks,
+    EJOR 2019).  A move into V at cost c ends the search at once when
+    c <= max(min degree, level + 1), since every other route costs at least
+    level + 1 and Z(G) is at least the minimum degree.
     """
     n = g.n
     cadj = g.cadj
     full = g.full_mask
     floor = g.min_degree()  # Z(G) >= min degree
-    cost = {0: 0}
-    levels = [[0]] + [[] for _ in range(n)]
+    start = _closure_mask(g, seed)
+    cost = {start: seed.bit_count()}
+    levels = [[] for _ in range(n + 1)]
+    levels[cost[start]].append(start)
     for level, states in enumerate(levels):
         if cost.get(full) == level:
             return level
@@ -157,10 +188,12 @@ def _wavefront_value(g: Graph) -> int:
 def zero_forcing_number(g: Graph) -> tuple[int, VertexSet]:
     """Exact Z(G) with the lexicographically least minimum forcing set.
 
-    The wavefront search gives the value; the seed search then scans only
-    that one size, in lexicographic order, for the witness.
+    Both searches start from the twin seed, which that witness holds: the
+    wavefront search gives the value, and the seed search then scans only
+    that one size, in lexicographic order, for the rest of the witness.
     """
-    return _least_seed(g, _unit_rows(g.n), _wavefront_value(g))
+    seed = _twin_seed(g)
+    return _least_seed(g, _unit_rows(g.n), _wavefront_value(g, seed), seed)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,20 @@ class Graph:
             for u in bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        self._fill(n, rows)
+
+    @classmethod
+    def _derived(cls, n: int, adj: Sequence[int]) -> Graph:
+        """A graph on rows built by this package from valid ones, not checked again.
+
+        The rows must be what the public constructor accepts: ``n`` of them,
+        in range, loop-free and symmetric.
+        """
+        g = cls.__new__(cls)
+        g._fill(n, tuple(adj))
+        return g
+
+    def _fill(self, n: int, rows: tuple[int, ...]) -> None:
         self.n = n
         self.adj = rows
         self.cadj = tuple(row | 1 << v for v, row in enumerate(rows))
@@ -367,7 +381,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
         for u in bits(g.adj[old] & s.mask):
             row |= 1 << index[u]
         rows.append(row)
-    return Graph(len(labels), rows), labels
+    return Graph._derived(len(labels), rows), labels
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -496,7 +510,7 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[G
             if edge_mask >> k & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        g = Graph(n, rows)
+        g = Graph._derived(n, rows)
         if connected_only and not is_connected(g):
             continue
         yield g

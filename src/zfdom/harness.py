@@ -25,6 +25,7 @@ from .graphs import (
     Graph6Error,
     UnsupportedSizeError,
     VertexSet,
+    bits,
     delete_vertex,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -242,7 +243,10 @@ def _run_check(name: str, f: _Facts) -> str:
             return _verdict(not three_three)
         if name == "simplicial_deletion":
             zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            subgraphs = [delete_vertex(g, u) for u in f.simplicial]
+            # deleting either of two twins leaves isomorphic graphs, and a twin
+            # of a simplicial vertex is simplicial: keep the highest of each class
+            kept = f.simplicial.mask & ~forcing._twin_seed(g)
+            subgraphs = [delete_vertex(g, u) for u in bits(kept)]
             subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
             if not subgraphs:
                 return PRECONDITION
@@ -370,13 +374,21 @@ def _pool_map(fn, items, jobs: int):
 
     Items go to the workers in chunks of ``CHUNK_LINES``.  At most
     ``CHUNKS_PER_JOB * jobs`` chunks are read and not yet yielded, so
-    neither the input nor the results are held whole.
+    neither the input nor the results are held whole.  Input that ends
+    inside its first chunk starts no pool and is mapped in this process.
     """
-    # imported here: one job never starts a pool, and the import is a
+    chunks = iter(lambda: list(itertools.islice(items, CHUNK_LINES)), [])
+    head = list(itertools.islice(chunks, 2))
+    if len(head) < 2:
+        # the input ends inside the first chunk, which one worker would take
+        # whole: map it here rather than pay for a pool
+        yield from map(fn, itertools.chain.from_iterable(head))
+        return
+    # imported here: a run that starts no pool skips the import, a
     # noticeable share of a short run's start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = iter(lambda: list(itertools.islice(items, CHUNK_LINES)), [])
+    chunks = itertools.chain(head, chunks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         submit = functools.partial(pool.submit, _map_chunk, fn)
         pending = collections.deque(map(submit, itertools.islice(chunks, CHUNKS_PER_JOB * jobs)))

@@ -38,7 +38,7 @@ from oracles import (
     neighbor_sets,
     skew_forcing_steps,
 )
-from strategies import graphs, isolate_free_graphs
+from strategies import graphs, graphs_with_twins, isolate_free_graphs
 
 
 def random_graph(n, p, rng):
@@ -150,6 +150,12 @@ class TestZeroForcingNumber:
                 assert len(witness) == k and is_zero_forcing_set(g, witness)
                 assert tuple(witness) == brute_set  # lexicographically least
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(graphs_with_twins(max_n=12))
+    def test_graphs_with_twins_match_brute(self, g):
+        k, witness = zero_forcing_number(g)
+        assert (k, tuple(witness)) == brute_zero_forcing(g)
+
     def test_stars_need_all_leaves_but_one(self):
         for leaves in range(2, 9):
             assert zero_forcing_number(star(leaves).graph) == (
@@ -163,7 +169,38 @@ class TestWavefront:
         """The seed search would hide a low value: it climbs to the least good size."""
         for n in range(8):
             for g in graphs_by_order[n]:
-                assert forcing._wavefront_value(g) == brute_zero_forcing(g)[0]
+                value = brute_zero_forcing(g)[0]
+                assert forcing._wavefront_value(g) == value
+                assert forcing._wavefront_value(g, forcing._twin_seed(g)) == value
+
+    def test_twin_seed_is_every_vertex_with_a_higher_twin(self, graphs_by_order):
+        """The least minimum forcing set holds all of it."""
+        for n in range(8):
+            for g in graphs_by_order[n]:
+                expected = VertexSet.of(
+                    (u for u in range(n) for v in range(u + 1, n)
+                     if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)),
+                    n,
+                )
+                seed = VertexSet(forcing._twin_seed(g), n)
+                assert seed == expected
+                assert seed <= VertexSet.of(brute_zero_forcing(g)[1], n)
+
+    @pytest.mark.parametrize(
+        "instance, witness",
+        [(windmill(3, 10), (0, *range(1, 21, 2))), (star(30), tuple(range(1, 30)))],
+        ids=["windmill:3,10", "star:30"],
+    )
+    def test_twin_classes_start_blue(self, instance, witness):
+        """At most ten closures; today windmill:3,10 takes 4 and star:30 takes 2.
+
+        Without the twin seed, windmill:3,10 takes about 60,300 closures,
+        almost all in the witness scan, and star:30 would keep about 2^29
+        closed masks in the wavefront; the cap stops either at once.
+        """
+        g = instance.graph
+        (k, found), _ = traced_calls(lambda: zero_forcing_number(g), "_closure_mask", 10)
+        assert (k, tuple(found)) == (len(witness), witness)
 
     @pytest.mark.parametrize(
         "instance, value, witness, closures",

@@ -73,6 +73,20 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_derived_graphs_equal_checked_ones(self, graphs_by_order, connected_by_order):
+        """Graphs made without the row checks equal those the checked constructor makes."""
+        derived = [
+            *graphs_by_order[6],
+            *connected_by_order[6],
+            *enumerate_labeled_graphs(4),
+            *(induced_subgraph(g, VertexSet(mask, 5))[0]
+              for g in graphs_by_order[5] for mask in range(1 << 5)),
+        ]
+        for h in derived:
+            checked = Graph(h.n, h.adj)
+            assert type(h) is Graph
+            assert (h.n, h.adj, h.cadj) == (checked.n, checked.adj, checked.cadj)
+
     def test_neighborhoods(self):
         assert list(P3.open_nbhd(1)) == [0, 2]
         assert list(P3.closed_nbhd(1)) == [0, 1, 2]

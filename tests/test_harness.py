@@ -140,6 +140,26 @@ class TestFactCache:
         assert TIMEOUT not in report["verdicts"].values()
         assert all(count <= 1 for count in frames.values()), frames
 
+    def test_simplicial_deletion_solves_one_subgraph_per_twin_class(self, monkeypatch):
+        """windmill:3,7 has 14 simplicial vertices in 7 pairs of closed twins.
+
+        Deleting either vertex of a pair leaves isomorphic graphs, so the
+        check solves 7 subgraphs, not 14.
+        """
+        g = windmill(3, 7).graph
+        solve = forcing.z_grundy_number
+        subgraphs = []
+
+        def counting(h):
+            if h.n < g.n:
+                subgraphs.append(h)
+            return solve(h)
+
+        monkeypatch.setattr(forcing, "z_grundy_number", counting)
+        report = compute_report(emit_graph6(g), checks=["simplicial_deletion"])
+        assert report["verdicts"] == {"simplicial_deletion": HOLDS}
+        assert len(subgraphs) == 7
+
     def test_checks_with_computed_inputs_survive_the_deadline(self, monkeypatch):
         """The budget runs out once zgrundy is known: a fake clock jumps past
         the deadline, so the test does not depend on machine speed."""
@@ -232,6 +252,16 @@ class TestRunCorpus:
         a, b = io.StringIO(), io.StringIO()
         run_corpus(self.lines()[:10], a)
         run_corpus(self.lines()[:10], b, jobs=2)
+        assert a.getvalue() == b.getvalue()
+
+    @pytest.mark.parametrize("count", [CHUNK_LINES, CHUNK_LINES + 1, 38])
+    def test_jobs_do_not_change_a_stream_around_one_chunk(self, count):
+        """Up to one chunk is mapped in process; one line more starts the pool."""
+        lines = self.lines()
+        assert len(lines) == 38
+        a, b = io.StringIO(), io.StringIO()
+        run_corpus(lines[:count], a)
+        run_corpus(lines[:count], b, jobs=2)
         assert a.getvalue() == b.getvalue()
 
     def test_each_report_is_written_before_the_next_line_is_read(self):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import zfdom
+from zfdom.harness import CHUNK_LINES
 
 # The public names of the package, by the submodule that defines them.  Each
 # submodule is public under its own name as well.
@@ -95,11 +96,17 @@ def test_a_process_loads_only_what_it_runs(child_env, tmp_path):
     assert package_modules("import zfdom") == {"zfdom"}
     assert package_modules("from zfdom import _smallgraphs") == {
         "zfdom", "zfdom.graphs", "zfdom._smallgraphs"}
-    (tmp_path / "graphs.g6").write_text("Bw\nCF\n")
-    run = _loaded_after(
-        "import runpy\n"  # as ``python -m zfdom.cli run --jobs 1 graphs.g6`` does
-        "sys.argv = ['zfdom', 'run', '--jobs', '1', 'graphs.g6']\n"
-        "runpy.run_module('zfdom.cli', run_name='__main__', alter_sys=True)\n",
-        child_env, tmp_path)
-    assert "zfdom.harness" in run
-    assert "concurrent.futures.process" not in run and "zfdom.families" not in run
+
+    def run(jobs: str, lines: int) -> set[str]:
+        (tmp_path / "graphs.g6").write_text("Bw\nCF\n" * (lines // 2) + "Bw\n" * (lines % 2))
+        return _loaded_after(
+            "import runpy\n"  # as ``python -m zfdom.cli run --jobs J graphs.g6`` does
+            f"sys.argv = ['zfdom', 'run', '--jobs', {jobs!r}, 'graphs.g6']\n"
+            "runpy.run_module('zfdom.cli', run_name='__main__', alter_sys=True)\n",
+            child_env, tmp_path)
+
+    for jobs in ("1", "2"):  # two lines fit one chunk, so two jobs start no pool
+        loaded = run(jobs, 2)
+        assert "zfdom.harness" in loaded
+        assert "concurrent.futures.process" not in loaded and "zfdom.families" not in loaded
+    assert "concurrent.futures.process" in run("2", CHUNK_LINES + 1)
