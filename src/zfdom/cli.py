@@ -130,22 +130,26 @@ def _cmd_hunt(args) -> int:
     if (args.n is None) == (args.input is None):
         print("zfdom: hunt needs exactly one of --n or --input", file=sys.stderr)
         return 2
-    graphs = None
-    bad_lines = 0
-    if args.input is not None:
-        graphs = []
-        with _input_lines(args.input) as lines:
-            for number, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    graphs.append(parse_graph6(line.strip()))
-                except (Graph6Error, UnsupportedSizeError) as exc:
-                    bad_lines += 1
-                    print(f"zfdom: line {number}: {exc}", file=sys.stderr)
+    bad_lines: list[int] = []
+    graphs = None if args.input is None else _parsed_graphs(args.input, bad_lines)
     for hit in hunt_extremal(args.predicate, n=args.n, graphs=graphs):
-        print(json.dumps(hit, separators=(",", ":")))
+        # flushed, so a reader on a pipe sees each hit at once
+        print(json.dumps(hit, separators=(",", ":")), flush=True)
     return 2 if bad_lines else 0
+
+
+def _parsed_graphs(path: str, bad_lines: list[int]):
+    """The graphs of a graph6 file's good lines, each parsed as it is read;
+    each bad line is reported when it is read and its number kept in ``bad_lines``."""
+    with _input_lines(path) as lines:
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield parse_graph6(line.strip())
+            except (Graph6Error, UnsupportedSizeError) as exc:
+                bad_lines.append(number)
+                print(f"zfdom: line {number}: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

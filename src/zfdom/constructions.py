@@ -98,18 +98,19 @@ def gamma_t_set_minimizing_k2_components(g: Graph) -> VertexSet:
     the first in mask order.  An exchange argument shows the winner has no
     symmetrically linked K2-component at all; that is asserted, not assumed.
     """
+    return _least_k2_analysis(g).dset
+
+
+def _least_k2_analysis(g: Graph) -> K2ComponentAnalysis:
+    """The K2 analysis of ``gamma_t_set_minimizing_k2_components(g)``."""
     require_isolate_free(g)
     if has_clique_component(g):
         raise CliqueComponentError("graph has a clique component")
-    best = None
-    best_key = None
-    for d in enumerate_gamma_t_sets(g):
-        analysis = analyze_k2_components(g, d)
-        key = (len(analysis.pairs), analysis.symmetric_count())
-        if best_key is None or key < best_key:
-            best, best_key = d, key
-    assert best is not None and best_key is not None
-    if best_key[1] != 0:
+    best = min(
+        (analyze_k2_components(g, d) for d in enumerate_gamma_t_sets(g)),
+        key=lambda analysis: (len(analysis.pairs), analysis.symmetric_count()),
+    )
+    if best.symmetric_count() != 0:
         raise AssertionError(
             "every minimum total dominating set kept a symmetrically linked "
             "K2-component; the exchange argument rules this out"
@@ -134,6 +135,18 @@ def _component_vertex_order(g: Graph, comp_mask: int) -> list[int]:
     return first + rest
 
 
+def _sequence_of(g: Graph, analysis: K2ComponentAnalysis, pair_part: list[int]) -> ZSequence:
+    """The large components of G[D] in vertex order, then ``pair_part``, validated."""
+    sequence: list[int] = []
+    for comp in analysis.big_components:
+        sequence.extend(_component_vertex_order(g, comp.mask))
+    sequence.extend(pair_part)
+    try:
+        return ZSequence.build(g, sequence)
+    except ValueError as exc:
+        raise AssertionError(f"construction produced an invalid sequence: {exc}") from exc
+
+
 def z_sequence_from_gamma_t(g: Graph) -> ZSequence:
     """A validated Z-sequence whose vertex set is a minimum TD-set.
 
@@ -141,24 +154,18 @@ def z_sequence_from_gamma_t(g: Graph) -> ZSequence:
     K2-component as (y, x) where x keeps a region neighbor outside N[y] to
     footprint.  The result has length exactly the total domination number.
     """
-    d = gamma_t_set_minimizing_k2_components(g)
-    analysis = analyze_k2_components(g, d)
-    sequence: list[int] = []
-    for comp in analysis.big_components:
-        sequence.extend(_component_vertex_order(g, comp.mask))
+    analysis = _least_k2_analysis(g)
+    pair_part: list[int] = []
     for (x, y), region in zip(analysis.pairs, analysis.regions):
         if g.adj[x] & ~g.cadj[y] & region.mask:
-            sequence.extend((y, x))
+            pair_part.extend((y, x))
         elif g.adj[y] & ~g.cadj[x] & region.mask:
-            sequence.extend((x, y))
+            pair_part.extend((x, y))
         else:
             raise AssertionError(
                 "asymmetric K2-component has no one-sided region neighbor"
             )
-    try:
-        return ZSequence.build(g, sequence)
-    except ValueError as exc:
-        raise AssertionError(f"construction produced an invalid sequence: {exc}") from exc
+    return _sequence_of(g, analysis, pair_part)
 
 
 def half_z_sequence_from_minimal_td(g: Graph, d: VertexSet) -> ZSequence:
@@ -170,15 +177,7 @@ def half_z_sequence_from_minimal_td(g: Graph, d: VertexSet) -> ZSequence:
     if is_minimal_td_set(g, d) is None:
         raise ValueError(f"{sorted(d)} is not a minimal total dominating set")
     analysis = analyze_k2_components(g, d)
-    sequence: list[int] = []
-    for comp in analysis.big_components:
-        sequence.extend(_component_vertex_order(g, comp.mask))
-    for x, _y in analysis.pairs:
-        sequence.append(x)
-    try:
-        seq = ZSequence.build(g, sequence)
-    except ValueError as exc:
-        raise AssertionError(f"construction produced an invalid sequence: {exc}") from exc
+    seq = _sequence_of(g, analysis, [x for x, _y in analysis.pairs])
     assert 2 * len(seq) >= len(d)
     return seq
 

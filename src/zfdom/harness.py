@@ -43,39 +43,6 @@ VIOLATION = "VIOLATION"
 PRECONDITION = "precondition-not-met"
 TIMEOUT = "timeout"
 
-INVARIANT_ORDER = (
-    "n",
-    "m",
-    "min_degree",
-    "zero_forcing",
-    "zgrundy",
-    "grundy_total",
-    "gamma_t",
-    "upper_gamma_t",
-    "gamma_p",
-)
-
-CHECK_ORDER = (
-    "duality",
-    "min_degree_bound",
-    "total_domination_bound",
-    "upper_total_bound",
-    "two_characterization",
-    "simplicial_three_three",
-    "simplicial_deletion",
-    "min_degree_extremal",
-    "parallel_paths",
-)
-
-FLAG_ORDER = (
-    "zgrundy_eq_gamma_t",
-    "upper_total_eq_twice_zgrundy",
-    "z_eq_min_degree",
-    "gamma_t_eq_zgrundy_eq_3",
-    "chordal",
-    "has_simplicial",
-)
-
 
 class _Unknown(Exception):
     """An invariant is undefined on the graph or out of time."""
@@ -97,6 +64,8 @@ _SOLVERS = {
     "gamma_p": (lambda g: powerdom.power_domination_number(g), False),
 }
 
+INVARIANT_ORDER = ("n", "m", "min_degree", *_SOLVERS)
+
 
 class _Facts:
     """The invariants of one graph, each solved at most once with its witness.
@@ -112,10 +81,10 @@ class _Facts:
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self._solved: dict[str, tuple] = {}
 
-    def run(self, solver, graph: Graph):
+    def run(self, solver, *args):
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _OutOfTime
-        return solver(graph)
+        return solver(*args)
 
     def solve(self, name: str) -> tuple:
         """(value, witness); raises ``_Unknown`` where the invariant is undefined."""
@@ -150,6 +119,99 @@ _FLAGS = {
     "chordal": lambda f: is_chordal(f.g),
     "has_simplicial": lambda f: bool(f.simplicial),
 }
+
+FLAG_ORDER = tuple(_FLAGS)
+
+
+def _require(ok) -> None:
+    """Fail the check's precondition unless ``ok``, as an undefined invariant does."""
+    if not ok:
+        raise _Unknown
+
+
+def _construct(f: _Facts, construction, *args):
+    """``construction``'s validated sequence, or None where a step of its proof fails."""
+    try:
+        return f.run(construction, f.g, *args)
+    except AssertionError:
+        return None
+
+
+def _min_degree_bound(f: _Facts, z) -> bool:
+    _require(f.g.n)
+    return z >= f.g.min_degree()
+
+
+def _total_domination_bound(f: _Facts, zg, gt) -> bool:
+    _require(f.g.n and not has_clique_component(f.g))
+    seq = _construct(f, constructions.z_sequence_from_gamma_t)
+    return seq is not None and zg >= gt and len(seq) == gt
+
+
+def _upper_total_bound(f: _Facts, zg, gt, upper) -> bool:
+    _require(f.g.n)
+    if not gt <= upper <= 2 * zg:
+        return False
+    seq = _construct(f, constructions.half_z_sequence_from_minimal_td, f.solve("upper_gamma_t")[1])
+    return seq is not None and 2 * len(seq) >= upper
+
+
+def _two_characterization(f: _Facts, zg, gt) -> bool:
+    g = f.g
+    _require(f.connected and g.n >= 2 and not is_clique(g, g.full_set()))
+    return (gt == 2 and zg == 2) == constructions.non_twin_pairs_see_all(g)
+
+
+def _simplicial_three_three(f: _Facts, *_) -> bool:
+    _require(f.connected and f.simplicial)
+    return not _FLAGS["gamma_t_eq_zgrundy_eq_3"](f)
+
+
+def _simplicial_deletion(f: _Facts, zg, gt) -> bool:
+    # deleting either of two twins leaves isomorphic graphs, and a twin
+    # of a simplicial vertex is simplicial: keep the highest of each class
+    kept = f.simplicial.mask & ~forcing._twin_seed(f.g)
+    subgraphs = [delete_vertex(f.g, u) for u in bits(kept)]
+    subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
+    _require(subgraphs)
+    for h in subgraphs:
+        sub_zg = f.run(forcing.z_grundy_number, h)[0]
+        sub_gt = f.run(domination.total_domination_number, h)[0]
+        if not (zg - 1 <= sub_zg <= zg and gt - 1 <= sub_gt <= gt):
+            return False
+    return True
+
+
+def _min_degree_extremal(f: _Facts, z) -> bool:
+    # the one-vertex graph is a genuine degenerate exception: a degree-0
+    # vertex power dominates it although Z = 1 > 0 = min degree
+    _require(f.g.n >= 2)
+    return (z == f.g.min_degree()) == f.run(powerdom.z_equals_delta, f.g)[0]
+
+
+def _parallel_paths(f: _Facts, gp) -> bool:
+    _require(f.g.n)
+    # the verdict needs one validated hub, not all of them
+    recognized = f.run(lambda h: next(powerdom._validated_hubs(h), None) is not None, f.g)
+    return (gp == 1) == recognized
+
+
+# The one definition of each theorem check, in report order: the invariants
+# it reads, and its claim on their values.  A claim tests the theorem's
+# hypotheses with ``_require`` and runs every further solver through ``f.run``.
+_CHECKS = {
+    "duality": (("zero_forcing", "zgrundy"), lambda f, z, zg: z + zg == f.g.n),
+    "min_degree_bound": (("zero_forcing",), _min_degree_bound),
+    "total_domination_bound": (("zgrundy", "gamma_t"), _total_domination_bound),
+    "upper_total_bound": (("zgrundy", "gamma_t", "upper_gamma_t"), _upper_total_bound),
+    "two_characterization": (("zgrundy", "gamma_t"), _two_characterization),
+    "simplicial_three_three": (("zgrundy", "gamma_t"), _simplicial_three_three),
+    "simplicial_deletion": (("zgrundy", "gamma_t"), _simplicial_deletion),
+    "min_degree_extremal": (("zero_forcing",), _min_degree_extremal),
+    "parallel_paths": (("gamma_p",), _parallel_paths),
+}
+
+CHECK_ORDER = tuple(_CHECKS)
 
 
 def _or_none(read, *args):
@@ -186,96 +248,26 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
     inv.update((name, _or_none(facts.value, name)) for name in _SOLVERS)
     return {
         "graph6": line,
-        "invariants": {k: inv[k] for k in INVARIANT_ORDER},
+        "invariants": inv,
         "verdicts": {name: _run_check(name, facts) for name in CHECK_ORDER if name in selected},
-        "flags": {name: _or_none(_FLAGS[name], facts) for name in FLAG_ORDER},
+        "flags": {name: _or_none(flag, facts) for name, flag in _FLAGS.items()},
     }
-
-
-def _verdict(ok: bool) -> str:
-    return HOLDS if ok else VIOLATION
 
 
 def _run_check(name: str, f: _Facts) -> str:
     """One verdict; ``timeout`` when a solver the check asked for is out of time.
 
-    Each check asks for its invariants before it tests its preconditions; one
-    that is undefined on the graph fails them.
+    The check's invariants are read before its claim runs, so one that is
+    undefined on the graph fails its preconditions.
     """
-    g = f.g
-    n = g.n
+    reads, claim = _CHECKS[name]
     try:
-        if name == "duality":
-            return _verdict(f.value("zero_forcing") + f.value("zgrundy") == n)
-        if name == "min_degree_bound":
-            z = f.value("zero_forcing")
-            return PRECONDITION if n == 0 else _verdict(z >= g.min_degree())
-        if name == "total_domination_bound":
-            zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            if n == 0 or has_clique_component(g):
-                return PRECONDITION
-            try:
-                seq = f.run(constructions.z_sequence_from_gamma_t, g)
-            except AssertionError:
-                return VIOLATION
-            return _verdict(zg >= gt and len(seq) == gt)
-        if name == "upper_total_bound":
-            zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            upper, witness = f.solve("upper_gamma_t")
-            if n == 0:
-                return PRECONDITION
-            if not gt <= upper <= 2 * zg:
-                return VIOLATION
-            try:
-                seq = constructions.half_z_sequence_from_minimal_td(g, witness)
-            except AssertionError:
-                return VIOLATION
-            return _verdict(2 * len(seq) >= upper)
-        if name == "two_characterization":
-            zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            if not f.connected or n < 2 or is_clique(g, g.full_set()):
-                return PRECONDITION
-            return _verdict((gt == 2 and zg == 2) == constructions.non_twin_pairs_see_all(g))
-        if name == "simplicial_three_three":
-            three_three = _FLAGS["gamma_t_eq_zgrundy_eq_3"](f)
-            if not f.connected or not f.simplicial:
-                return PRECONDITION
-            return _verdict(not three_three)
-        if name == "simplicial_deletion":
-            zg, gt = f.value("zgrundy"), f.value("gamma_t")
-            # deleting either of two twins leaves isomorphic graphs, and a twin
-            # of a simplicial vertex is simplicial: keep the highest of each class
-            kept = f.simplicial.mask & ~forcing._twin_seed(g)
-            subgraphs = [delete_vertex(g, u) for u in bits(kept)]
-            subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
-            if not subgraphs:
-                return PRECONDITION
-            for h in subgraphs:
-                sub_zg = f.run(forcing.z_grundy_number, h)[0]
-                sub_gt = f.run(domination.total_domination_number, h)[0]
-                if not (zg - 1 <= sub_zg <= zg and gt - 1 <= sub_gt <= gt):
-                    return VIOLATION
-            return HOLDS
-        if name == "min_degree_extremal":
-            z = f.value("zero_forcing")
-            # the one-vertex graph is a genuine degenerate exception: a degree-0
-            # vertex power dominates it although Z = 1 > 0 = min degree
-            if n < 2:
-                return PRECONDITION
-            witnessed = f.run(powerdom.z_equals_delta, g)[0]
-            return _verdict((z == g.min_degree()) == witnessed)
-        if name == "parallel_paths":
-            gp = f.value("gamma_p")
-            if n == 0:
-                return PRECONDITION
-            # the verdict needs one validated hub, not all of them
-            recognized = f.run(lambda h: next(powerdom._validated_hubs(h), None) is not None, g)
-            return _verdict((gp == 1) == recognized)
+        values = [f.value(invariant) for invariant in reads]
+        return HOLDS if claim(f, *values) else VIOLATION
     except _OutOfTime:
         return TIMEOUT
     except _Unknown:
         return PRECONDITION
-    raise AssertionError(f"unhandled check {name}")
 
 
 @dataclass
@@ -500,55 +492,55 @@ def hunt_extremal(predicate: str, n: int | None = None, graphs=None):
 # human-readable certificates
 
 
+# explain's names for each invariant: its own without underscores, and these
+_ALIASES = {name.replace("_", ""): name for name in _SOLVERS} | {
+    "z": "zero_forcing",
+    "gt": "grundy_total",
+    "totaldomination": "gamma_t",
+    "gammatupper": "upper_gamma_t",
+    "powerdomination": "gamma_p",
+}
+
+
 def explain(line: str, invariant: str) -> str:
     """Value of one invariant on one graph plus a checkable certificate."""
     g = parse_graph6(line.strip())
-    key = invariant.lower().replace("_", "")
+    try:
+        name = _ALIASES[invariant.lower().replace("_", "")]
+    except KeyError:
+        raise ValueError(
+            f"unknown invariant {invariant!r}; choose from "
+            "Z, zgrundy, grundytotal, gammat, gammat_upper, gammap"
+        ) from None
+    value, witness = _SOLVERS[name][0](g)
     out = io.StringIO()
-    if key in ("z", "zeroforcing"):
-        z, witness = forcing.zero_forcing_number(g)
-        trace = forcing.forcing_closure(g, witness)
-        print(f"zero_forcing = {z}", file=out)
+    print(f"{name} = {value}", file=out)
+    if name == "zero_forcing":
         print(f"forcing set: {sorted(witness)}", file=out)
-        for forcer, forced in trace.steps:
+        for forcer, forced in forcing.forcing_closure(g, witness).steps:
             print(f"  {forcer} forces {forced}", file=out)
-    elif key == "zgrundy":
-        zg, seq = forcing.z_grundy_number(g)
-        print(f"zgrundy = {zg}", file=out)
-        for v, fp in zip(seq.vertices, seq.footprints):
+    elif name == "zgrundy":
+        for v, fp in zip(witness.vertices, witness.footprints):
             print(f"  {v} footprints {sorted(fp)}", file=out)
-    elif key in ("grundytotal", "gt"):
-        value, seq = forcing.grundy_total_number(g)
-        print(f"grundy_total = {value}", file=out)
-        print(f"sequence: {list(seq)}", file=out)
-    elif key in ("gammat", "totaldomination"):
-        gt, dset = domination.total_domination_number(g)
-        print(f"gamma_t = {gt}", file=out)
-        print(f"minimum total dominating set: {sorted(dset)}", file=out)
-    elif key in ("gammatupper", "uppergammat"):
-        upper, dset = domination.upper_total_domination_number(g)
-        cert = domination.is_minimal_td_set(g, dset)
-        print(f"upper_gamma_t = {upper}", file=out)
-        print(f"maximum minimal total dominating set: {sorted(dset)}", file=out)
+    elif name == "grundy_total":
+        print(f"sequence: {list(witness)}", file=out)
+    elif name == "gamma_t":
+        print(f"minimum total dominating set: {sorted(witness)}", file=out)
+    elif name == "upper_gamma_t":
+        cert = domination.is_minimal_td_set(g, witness)
+        print(f"maximum minimal total dominating set: {sorted(witness)}", file=out)
         for v in sorted(cert.witnesses):
             epn, ipn = cert.witnesses[v]
             print(f"  {v}: epn {sorted(epn)} ipn {sorted(ipn)}", file=out)
-    elif key in ("gammap", "powerdomination"):
-        gp, witness = powerdom.power_domination_number(g)
+    else:
         trace = powerdom.power_closure(g, witness)
-        print(f"gamma_p = {gp}", file=out)
         print(f"power dominating set: {sorted(witness)}", file=out)
         print(f"observed after domination step: {sorted(trace.dominated)}", file=out)
         for forcer, forced in trace.steps:
             print(f"  {forcer} forces {forced}", file=out)
-        if gp == 1:
+        if value == 1:
             decomposition = powerdom.extract_decomposition(g, next(iter(witness)))
             print(f"parallel paths from hub {decomposition.hub}:", file=out)
             for p in decomposition.paths:
                 print(f"  {list(p)}", file=out)
-    else:
-        raise ValueError(
-            f"unknown invariant {invariant!r}; choose from "
-            "Z, zgrundy, grundytotal, gammat, gammat_upper, gammap"
-        )
     return out.getvalue()

@@ -157,6 +157,34 @@ def test_run_reports_a_stdin_line_before_the_input_ends(unbuffered, child_env, t
     assert proc.returncode == 0 and json.loads(err)["graphs"] == 1
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["with-u", "without-u"])
+def test_hunt_reports_each_stdin_line_before_the_input_ends(unbuffered, child_env):
+    """A bad line's message and a good line's hit each appear while stdin is open."""
+    env = dict(child_env)
+    if not unbuffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, *(["-u"] if unbuffered else []), "-m", "zfdom.cli",
+         "hunt", "--predicate", "z-eq-delta", "--input", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        seen = []
+        for line, stream in ((b"xx\n", proc.stderr), (b"Bw\n", proc.stdout)):
+            proc.stdin.write(line)
+            proc.stdin.flush()
+            ready, _, _ = select.select([stream], [], [], 30)
+            assert ready, f"nothing for {line!r} before stdin closed"
+            seen.append(stream.readline())
+        rest, err = proc.communicate(timeout=30)  # closes stdin
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert seen[0].startswith(b"zfdom: line 1: ")
+    assert json.loads(seen[1])["graph6"] == "Bw"
+    assert rest == b"" and err == b"" and proc.returncode == 2
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_hunt_skips_a_non_ascii_line(source, tmp_path, monkeypatch, capsys):
     argument = _corpus_argument(source, tmp_path, monkeypatch)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from zfdom import (
+    Graph6Error,
     constructions,
     domination,
     emit_graph6,
@@ -190,6 +192,52 @@ class TestFactCache:
             "chordal": False,
             "has_simplicial": False,
         }
+
+    @pytest.mark.parametrize(
+        "token", [emit_graph6(cycle(5).graph), "D{c", emit_graph6(windmill(3, 3).graph)]
+    )
+    def test_sequence_constructions_respect_the_deadline(self, token, monkeypatch):
+        """The budget runs out once Γt is known, so neither sequence
+        construction may start: both bounds that build one time out."""
+        clock = [0.0]
+        monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        solve = domination.upper_total_domination_number
+
+        def exhausting(g):
+            result = solve(g)
+            clock[0] = 10.0
+            return result
+
+        monkeypatch.setattr(domination, "upper_total_domination_number", exhausting)
+        report = compute_report(token, budget_ms=1000)
+        assert report["invariants"]["upper_gamma_t"] is not None
+        assert report["verdicts"]["total_domination_bound"] == TIMEOUT
+        assert report["verdicts"]["upper_total_bound"] == TIMEOUT
+
+
+class TestGoldenReports:
+    """Each report on the connected n = 8 catalogue is byte-identical to the
+    benchmark's reference line, stored as a SHA-256 prefix per graph."""
+
+    REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "data" / "connected_n8.tsv"
+
+    def mismatches(self, step: int) -> list:
+        rows = [line.split("\t") for line in self.REFERENCE.read_text().splitlines()]
+        assert len(rows) == 11117
+        return [
+            graph6
+            for graph6, digest in rows[::step]
+            if hashlib.sha256(
+                json.dumps(compute_report(graph6), separators=(",", ":")).encode()
+            ).hexdigest()[:16] != digest
+        ]
+
+    def test_every_twentieth_report(self):
+        assert self.mismatches(20) == []
+
+    @pytest.mark.extended
+    def test_every_report(self):
+        assert self.mismatches(1) == []
 
 
 class TestLargeSparseReports:
@@ -407,3 +455,32 @@ class TestExplain:
     def test_unknown_invariant(self):
         with pytest.raises(ValueError, match="unknown invariant"):
             explain("Bw", "treewidth")
+        with pytest.raises(Graph6Error):
+            explain("xx", "treewidth")
+
+    GRAPHS = ("?", "@", "Bw", "Bg", "C~", "Ch", "D{c", "Ds_", "DQo", "E?bw", "EhCG", "Eqro",
+              "FhCKG", "F?~vw")
+    NAMES = (
+        "Z", "z", "zero_forcing", "zeroforcing", "ZERO_FORCING",
+        "zgrundy", "grundy_total", "grundytotal", "gt",
+        "gamma_t", "gammat", "totaldomination",
+        "upper_gamma_t", "uppergammat", "gammat_upper", "gammatupper",
+        "gamma_p", "gammap", "powerdomination",
+    )
+
+    def test_every_name_on_fixed_graphs_is_unchanged(self):
+        """Every accepted name of the six invariants, on graphs from the empty
+        and the one-vertex graph up to the 7-cycle, whose γp certificate has
+        force steps.  The hash pins the whole transcript byte for byte."""
+        parts = []
+        for graph6, name in itertools.product(self.GRAPHS, self.NAMES):
+            try:
+                text = explain(graph6, name)
+            except ValueError as exc:  # an invariant undefined with isolated vertices
+                text = f"{type(exc).__name__}: {exc}\n"
+            parts.append(f"== {graph6} {name}\n{text}")
+        transcript = "".join(parts)
+        assert transcript.count(" forces ") == 210
+        assert hashlib.sha256(transcript.encode()).hexdigest() == (
+            "8d103fc5d8d19c633c178a763d9e9e5cde50cc7ba8c15555ad9eebf3287bd78d"
+        )
