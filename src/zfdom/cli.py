@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
         raise ValueError("--jobs must be at least 1")
     if args.budget_ms is not None and args.budget_ms < 0:
         raise ValueError("--budget-ms must not be negative")
-    checks = args.checks.split(",") if args.checks else None
+    checks = None if args.checks is None else args.checks.split(",")
     with _input_lines(args.input) as lines:
         summary = run_corpus(
             lines,

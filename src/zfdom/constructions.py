@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _component_masks,
+    _union,
     bits,
     has_clique_component,
     induced_subgraph,
@@ -79,10 +80,7 @@ def analyze_k2_components(g: Graph, d: VertexSet) -> K2ComponentAnalysis:
     for x, y in pairs:
         pair_mask = 1 << x | 1 << y
         by_pair = g.adj[x] | g.adj[y]
-        by_rest = 0
-        for u in bits(d.mask & ~pair_mask):
-            by_rest |= g.adj[u]
-        region = by_pair & ~by_rest
+        region = by_pair & ~_union(g.adj, d.mask & ~pair_mask)
         regions.append(VertexSet(region, g.n))
         seen_x = g.adj[x] & region & ~(1 << y)
         seen_y = g.adj[y] & region & ~(1 << x)
@@ -256,28 +254,14 @@ def max_minimal_cover_size(g: Graph, analysis: K2ComponentAnalysis, b: VertexSet
     minimal_sizes = []
     for r in range(1, len(candidates) + 1):
         for chosen in itertools.combinations(candidates, r):
-            union = 0
-            for i in chosen:
-                x = analysis.pairs[i][0]
-                union |= g.adj[x]
-            if b.mask & ~union:
+            lows = [1 << analysis.pairs[i][0] for i in chosen]
+            cover = sum(lows)  # the pairs are disjoint, so their lows are distinct bits
+            if b.mask & ~_union(g.adj, cover):
                 continue
-            if any(
-                not b.mask & ~_cover_union(g, analysis, chosen, skip)
-                for skip in range(len(chosen))
-            ):
+            if any(not b.mask & ~_union(g.adj, cover ^ low) for low in lows):
                 continue  # not inclusion-minimal
             minimal_sizes.append(r)
     return max(minimal_sizes) if minimal_sizes else None
-
-
-def _cover_union(g: Graph, analysis: K2ComponentAnalysis, chosen, skip: int) -> int:
-    union = 0
-    for pos, i in enumerate(chosen):
-        if pos == skip:
-            continue
-        union |= g.adj[analysis.pairs[i][0]]
-    return union
 
 
 def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
@@ -319,10 +303,7 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
 
     cross_free = True
     for i, j in itertools.combinations(range(len(analysis.regions)), 2):
-        reach = 0
-        for v in analysis.regions[i]:
-            reach |= g.adj[v]
-        if reach & analysis.regions[j].mask:
+        if _union(g.adj, analysis.regions[i].mask) & analysis.regions[j].mask:
             cross_free = False
             witnesses["no_region_cross_edges"] = (i, j)
             break

@@ -18,39 +18,25 @@ import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, bits, require_isolate_free
+from .graphs import Graph, VertexSet, _union, bits, require_isolate_free
 
 
 class NotTotalDominatingError(ValueError):
     """The given set fails to totally dominate the graph."""
 
 
-def _dominated_mask(g: Graph, dmask: int) -> int:
-    out = 0
-    for v in bits(dmask):
-        out |= g.cadj[v]
-    return out
-
-
-def _totally_dominated_mask(g: Graph, dmask: int) -> int:
-    out = 0
-    for v in bits(dmask):
-        out |= g.adj[v]
-    return out
-
-
 def is_dominating_set(g: Graph, d: VertexSet) -> bool:
     """Every vertex is in a closed neighborhood of ``d``."""
     if d.n != g.n:
         raise ValueError("set belongs to a graph of different order")
-    return _dominated_mask(g, d.mask) == g.full_mask
+    return _union(g.cadj, d.mask) == g.full_mask
 
 
 def is_total_dominating_set(g: Graph, d: VertexSet) -> bool:
     """Every vertex has a neighbor in ``d`` (open neighborhoods)."""
     if d.n != g.n:
         raise ValueError("set belongs to a graph of different order")
-    return _totally_dominated_mask(g, d.mask) == g.full_mask
+    return _union(g.adj, d.mask) == g.full_mask
 
 
 def private_neighborhoods(g: Graph, d: VertexSet, v: int) -> tuple[VertexSet, VertexSet, VertexSet]:

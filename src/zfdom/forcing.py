@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, bits, require_isolate_free
+from .graphs import Graph, VertexSet, _reach, _twin_seed, _union, require_isolate_free
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ def _least_seed(g: Graph, rows, start: int, base: int = 0) -> tuple[int, VertexS
     n = g.n
     full = g.full_mask
     free = [v for v in range(n) if not base >> v & 1]
-    blue = 0
-    for v in bits(base):
-        blue |= rows[v]
+    blue = _union(rows, base)
     for k in range(start, n + 1):
         for combo in itertools.combinations(free, k - base.bit_count()):
             mask = blue
@@ -119,27 +117,6 @@ def _least_seed(g: Graph, rows, start: int, base: int = 0) -> tuple[int, VertexS
 def _unit_rows(n: int) -> tuple[int, ...]:
     """Single-vertex rows for Z's seed search, built once per order."""
     return tuple(1 << v for v in range(n))
-
-
-def _twin_seed(g: Graph) -> int:
-    """The vertices that have a twin (open or closed) of higher index, as a mask.
-
-    Two white twins are never forced: a vertex adjacent to one is adjacent
-    to both.  So every zero forcing set holds all but one vertex of each
-    class of pairwise twins.  Swapping two twins is an automorphism, so the
-    lexicographically least minimum forcing set leaves out only the highest
-    vertex of each class, and holds this mask.
-    """
-    # u and v are open twins when adj[u] == adj[v], closed ones when
-    # cadj[u] == cadj[v]; an open row never equals a closed one
-    seen = set()
-    seed = 0
-    for v in range(g.n - 1, -1, -1):
-        if g.adj[v] in seen or g.cadj[v] in seen:
-            seed |= 1 << v
-        seen.add(g.adj[v])
-        seen.add(g.cadj[v])
-    return seed
 
 
 def _wavefront_value(g: Graph, seed: int = 0) -> int:
@@ -257,20 +234,6 @@ def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     return SequenceCheck(True, tuple(footprints), None)
 
 
-def _spread(link: dict[int, int], seed: int, within: int) -> int:
-    """Everything inside ``within`` that chains of ``link`` rows reach from ``seed``."""
-    group = todo = seed
-    while todo:
-        grown = 0
-        while todo:
-            low = todo & -todo
-            grown |= link[low]
-            todo ^= low
-        todo = grown & within & ~group
-        group |= todo
-    return group
-
-
 def _grundy_sequence(g: Graph, rows) -> list[int]:
     """Lexicographically least longest sequence over the cover ``rows``.
 
@@ -288,23 +251,19 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
     """
     n = g.n
     adj = g.adj
-    link: dict[int, int] = {}  # bit of u -> union of the rows that hold u
-    for row in rows:
-        todo = row
-        while todo:
-            low = todo & -todo
-            link[low] = link.get(low, 0) | row
-            todo ^= low
+    # link[u]: the union of the rows that hold u; rows are symmetric, so
+    # those are the rows of the vertices in rows[u]
+    link = tuple(_union(rows, row) for row in rows)
     memo = {0: 0}
 
     def best(uncovered: int) -> int:
         low = uncovered & -uncovered
-        if link[low] & uncovered != uncovered:
-            if _spread(link, low, uncovered) != uncovered:
+        if link[low.bit_length() - 1] & uncovered != uncovered:
+            if _reach(link, low, uncovered) != uncovered:
                 value = 0
                 rest = uncovered
                 while rest:
-                    group = _spread(link, rest & -rest, rest)
+                    group = _reach(link, rest & -rest, rest)
                     sub = memo.get(group)
                     value += best(group) if sub is None else sub
                     rest ^= group
@@ -328,9 +287,7 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
         return value
 
     sequence = []
-    uncovered = 0
-    for row in adj:
-        uncovered |= row
+    uncovered = _union(adj, g.full_mask)
     remaining = memo.get(uncovered)
     if remaining is None:
         remaining = best(uncovered)

@@ -342,21 +342,67 @@ def emit_graph6(g: Graph) -> str:
 # structural predicates and decompositions
 
 
+def _union(rows, mask: int) -> int:
+    """The union of ``rows[v]`` over the vertices ``v`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(rows, seed: int, within: int) -> int:
+    """``seed`` and every vertex of ``within`` that chains of ``rows`` reach from it."""
+    reached = todo = seed
+    while todo:
+        # the union of the frontier's rows, inline: this runs on the Grundy DP's hot path
+        grown = 0
+        while todo:
+            low = todo & -todo
+            grown |= rows[low.bit_length() - 1]
+            todo ^= low
+        todo = grown & within & ~reached
+        reached |= todo
+    return reached
+
+
+def _is_clique(g: Graph, mask: int) -> bool:
+    """True when every pair of vertices in ``mask`` is adjacent."""
+    for v in bits(mask):
+        if mask & ~g.cadj[v]:
+            return False
+    return True
+
+
+def _twin_seed(g: Graph) -> int:
+    """The vertices that have a twin (open or closed) of higher index, as a mask.
+
+    Two white twins are never forced: a vertex adjacent to one is adjacent
+    to both.  So every zero forcing set holds all but one vertex of each
+    class of pairwise twins.  Swapping two twins is an automorphism, so the
+    lexicographically least minimum forcing set leaves out only the highest
+    vertex of each class, and holds this mask.
+    """
+    # u and v are open twins when adj[u] == adj[v], closed ones when
+    # cadj[u] == cadj[v]; an open row never equals a closed one
+    seen = set()
+    seed = 0
+    for v in range(g.n - 1, -1, -1):
+        if g.adj[v] in seen or g.cadj[v] in seen:
+            seed |= 1 << v
+        seen.add(g.adj[v])
+        seen.add(g.cadj[v])
+    return seed
+
+
 def _component_masks(g: Graph, within: int) -> list[int]:
     """Component masks of the subgraph induced by ``within``, by min vertex."""
     out = []
-    remaining = within
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in bits(frontier):
-                grown |= g.adj[v]
-            frontier = grown & within & ~comp
-            comp |= frontier
+    while within:
+        comp = _reach(g.adj, within & -within, within)
         out.append(comp)
-        remaining &= ~comp
+        within &= ~comp
     return out
 
 
@@ -366,7 +412,7 @@ def components(g: Graph) -> list[VertexSet]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return g.n == 0 or _reach(g.adj, 1, g.full_mask) == g.full_mask
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
@@ -394,10 +440,7 @@ def is_clique(g: Graph, s: VertexSet) -> bool:
     """True when every pair of vertices in ``s`` is adjacent."""
     if s.n != g.n:
         raise ValueError("vertex set belongs to a graph of different order")
-    for v in bits(s.mask):
-        if s.mask & ~g.cadj[v]:
-            return False
-    return True
+    return _is_clique(g, s.mask)
 
 
 def is_clique_component(g: Graph, c: VertexSet) -> bool:
@@ -437,11 +480,7 @@ def is_twin_vertex(g: Graph, v: int) -> bool:
 def is_simplicial(g: Graph, v: int) -> bool:
     """True when the open neighborhood of ``v`` induces a clique."""
     g._check_vertex(v)
-    nbrs = g.adj[v]
-    for u in bits(nbrs):
-        if nbrs & ~g.cadj[u]:
-            return False
-    return True
+    return _is_clique(g, g.adj[v])
 
 
 def simplicial_vertices(g: Graph) -> VertexSet:
@@ -462,16 +501,13 @@ def is_chordal(g: Graph) -> bool:
     n = g.n
     weight = [0] * n
     visited = 0
-    order = []
     for _ in range(n):
         v = max(
             (u for u in range(n) if not visited >> u & 1),
             key=lambda u: (weight[u], -u),
         )
-        back = g.adj[v] & visited
-        if not is_clique(g, VertexSet(back, n)):
+        if not _is_clique(g, g.adj[v] & visited):
             return False
-        order.append(v)
         visited |= 1 << v
         for u in bits(g.adj[v] & ~visited):
             weight[u] += 1
@@ -482,7 +518,11 @@ def is_biconnected(g: Graph) -> bool:
     """Two-connectivity: at least three vertices, connected, no cut vertex."""
     if g.n < 3 or not is_connected(g):
         return False
-    return all(is_connected(delete_vertex(g, v)) for v in range(g.n))
+    for v in range(g.n):
+        rest = g.full_mask & ~(1 << v)
+        if _reach(g.adj, rest & -rest, rest) != rest:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

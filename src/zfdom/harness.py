@@ -25,6 +25,7 @@ from .graphs import (
     Graph6Error,
     UnsupportedSizeError,
     VertexSet,
+    _twin_seed,
     bits,
     delete_vertex,
     emit_graph6,
@@ -170,7 +171,7 @@ def _simplicial_three_three(f: _Facts, *_) -> bool:
 def _simplicial_deletion(f: _Facts, zg, gt) -> bool:
     # deleting either of two twins leaves isomorphic graphs, and a twin
     # of a simplicial vertex is simplicial: keep the highest of each class
-    kept = f.simplicial.mask & ~forcing._twin_seed(f.g)
+    kept = f.simplicial.mask & ~_twin_seed(f.g)
     subgraphs = [delete_vertex(f.g, u) for u in bits(kept)]
     subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
     _require(subgraphs)

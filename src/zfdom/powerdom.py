@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .forcing import _closure_mask, _least_seed, forcing_closure
-from .graphs import Graph, UnsupportedSizeError, VertexSet, bits
+from .graphs import Graph, UnsupportedSizeError, VertexSet, _union, bits
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ def power_closure(g: Graph, s: VertexSet) -> PowerTrace:
     """Observe N[s], then propagate with the color-change rule."""
     if s.n != g.n:
         raise ValueError("seed belongs to a graph of different order")
-    dominated = 0
-    for v in s:
-        dominated |= g.cadj[v]
-    trace = forcing_closure(g, VertexSet(dominated, g.n))
+    trace = forcing_closure(g, VertexSet(_union(g.cadj, s.mask), g.n))
     return PowerTrace(s, trace.initial, trace.steps, trace.final)
 
 

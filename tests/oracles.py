@@ -18,6 +18,27 @@ def neighbor_sets(g: Graph) -> dict[int, set[int]]:
     return nbrs
 
 
+def reached_by_sets(nbrs: dict[int, set[int]], seed, within) -> set[int]:
+    """``seed`` and every vertex of ``within`` that a path inside ``within`` reaches from it."""
+    reached = set(seed)
+    frontier = list(reached)
+    while frontier:
+        for u in nbrs[frontier.pop()] & set(within) - reached:
+            reached.add(u)
+            frontier.append(u)
+    return reached
+
+
+def components_by_sets(nbrs: dict[int, set[int]], within) -> list[set[int]]:
+    """Components of the subgraph induced by ``within``, by least vertex."""
+    out = []
+    left = set(within)
+    while left:
+        out.append(reached_by_sets(nbrs, {min(left)}, left))
+        left -= out[-1]
+    return out
+
+
 def closure_by_sets(nbrs: dict[int, set[int]], blue) -> set[int]:
     blue = set(blue)
     while True:

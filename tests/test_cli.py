@@ -65,6 +65,7 @@ def test_run_rejects_out_of_range_numbers(bad, tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, checks, message",
     [("", "nonsense", "unknown check 'nonsense'"),
+     ("Bw\n", "", "unknown check ''"),
      ("Bw\n", "duality,duality", "check 'duality' is selected twice")],
 )
 def test_run_rejects_a_bad_check_selection(jobs, text, checks, message, tmp_path, capsys):

@@ -1,4 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfdom import (
     Graph,
@@ -18,14 +23,26 @@ from zfdom import (
     is_clique,
     is_clique_component,
     is_connected,
+    is_dominating_set,
+    is_simplicial,
+    is_total_dominating_set,
     is_twin_vertex,
     parse_graph6,
     simplicial_vertices,
     windmill,
 )
 from zfdom.families import complete, cycle, path, star
+from zfdom.graphs import _component_masks, _reach, _union
 
-from oracles import encode_graph6_by_hand, has_long_induced_cycle
+from oracles import (
+    components_by_sets,
+    encode_graph6_by_hand,
+    has_long_induced_cycle,
+    is_td_set_by_sets,
+    neighbor_sets,
+    reached_by_sets,
+)
+from strategies import graphs, graphs_with_twins
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -260,3 +277,57 @@ class TestEnumeration:
     def test_connectivity(self):
         assert is_connected(P3)
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _sample_masks(n: int) -> list[int]:
+    """Every vertex set for n <= 5; else the full set and 24 seeded ones."""
+    if n <= 5:
+        return list(range(1 << n))
+    rng = random.Random(n)
+    return [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(24)]
+
+
+def _assert_agrees_with_sets(g: Graph, masks) -> None:
+    """The mask primitives and the predicates built on them, against set definitions."""
+    nbrs = neighbor_sets(g)
+    everything = set(range(g.n))
+    comps = components_by_sets(nbrs, everything)
+    assert [set(c) for c in components(g)] == comps
+    assert is_connected(g) == (len(comps) <= 1)
+    assert is_biconnected(g) == (
+        g.n >= 3
+        and len(comps) == 1
+        and all(len(components_by_sets(nbrs, everything - {v})) == 1 for v in everything)
+    )
+    for v in everything:
+        assert is_simplicial(g, v) == all(b in nbrs[a] for a, b in combinations(nbrs[v], 2))
+    for mask in masks:
+        s = {v for v in everything if mask >> v & 1}
+        assert _union(g.adj, mask) == _mask(set().union(*(nbrs[v] for v in s)))
+        assert _union(g.cadj, mask) == _mask(s.union(*(nbrs[v] for v in s)))
+        for v in s:
+            assert _reach(g.adj, 1 << v, mask) == _mask(reached_by_sets(nbrs, {v}, s))
+        assert _component_masks(g, mask) == [_mask(c) for c in components_by_sets(nbrs, s)]
+        d = VertexSet(mask, g.n)
+        assert is_clique(g, d) == all(b in nbrs[a] for a, b in combinations(s, 2))
+        assert is_dominating_set(g, d) == all(v in s or nbrs[v] & s for v in everything)
+        assert is_total_dominating_set(g, d) == is_td_set_by_sets(nbrs, s)
+
+
+class TestMaskPrimitivesAgainstSets:
+    def test_every_catalogue_graph(self, graphs_by_order):
+        for n, gs in graphs_by_order.items():
+            masks = _sample_masks(n)
+            for g in gs:
+                _assert_agrees_with_sets(g, masks)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.one_of(graphs(), graphs_with_twins()).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(st.integers(0, g.full_mask), max_size=8))))
+    def test_random_graphs(self, case):
+        g, masks = case
+        _assert_agrees_with_sets(g, [g.full_mask, *masks])
