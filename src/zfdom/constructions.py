@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .domination import (
     NotTotalDominatingError,
-    enumerate_gamma_t_sets,
+    _gamma_t_masks,
     is_minimal_td_set,
     is_total_dominating_set,
     total_domination_number,
@@ -62,30 +62,42 @@ class K2ComponentAnalysis:
         return sum(self.symmetric)
 
 
+def _k2_split(g: Graph, dmask: int) -> tuple[list, list[int], list[bool], list[int]]:
+    """(pairs, regions, symmetric flags, larger components) of G[dmask], as masks.
+
+    The first three describe the K2-components, as ``analyze_k2_components``
+    does; the last holds the masks of the components on >= 3 vertices.
+    """
+    adj = g.adj
+    pairs = []
+    regions = []
+    symmetric = []
+    bigs = []
+    for comp in _component_masks(g, dmask):
+        if comp.bit_count() == 2:
+            x = (comp & -comp).bit_length() - 1
+            y = (comp & comp - 1).bit_length() - 1
+            region = (adj[x] | adj[y]) & ~_union(adj, dmask & ~comp)
+            pairs.append((x, y))
+            regions.append(region)
+            symmetric.append(adj[x] & region & ~(1 << y) == adj[y] & region & ~(1 << x))
+        else:
+            bigs.append(comp)
+    return pairs, regions, symmetric, bigs
+
+
 def analyze_k2_components(g: Graph, d: VertexSet) -> K2ComponentAnalysis:
     """Split G[d] into K2-components (with exclusive regions) and the rest."""
     if not is_total_dominating_set(g, d):
         raise NotTotalDominatingError(f"{sorted(d)} is not a total dominating set")
-    pairs = []
-    bigs = []
-    for comp in _component_masks(g, d.mask):
-        if comp.bit_count() == 2:
-            x = (comp & -comp).bit_length() - 1
-            y = (comp & comp - 1).bit_length() - 1
-            pairs.append((x, y))
-        else:
-            bigs.append(VertexSet(comp, g.n))
-    regions = []
-    symmetric = []
-    for x, y in pairs:
-        pair_mask = 1 << x | 1 << y
-        by_pair = g.adj[x] | g.adj[y]
-        region = by_pair & ~_union(g.adj, d.mask & ~pair_mask)
-        regions.append(VertexSet(region, g.n))
-        seen_x = g.adj[x] & region & ~(1 << y)
-        seen_y = g.adj[y] & region & ~(1 << x)
-        symmetric.append(seen_x == seen_y)
-    return K2ComponentAnalysis(d, tuple(pairs), tuple(regions), tuple(symmetric), tuple(bigs))
+    pairs, regions, symmetric, bigs = _k2_split(g, d.mask)
+    return K2ComponentAnalysis(
+        d,
+        tuple(pairs),
+        tuple(VertexSet(region, g.n) for region in regions),
+        tuple(symmetric),
+        tuple(VertexSet(comp, g.n) for comp in bigs),
+    )
 
 
 def gamma_t_set_minimizing_k2_components(g: Graph) -> VertexSet:
@@ -100,14 +112,21 @@ def gamma_t_set_minimizing_k2_components(g: Graph) -> VertexSet:
 
 
 def _least_k2_analysis(g: Graph) -> K2ComponentAnalysis:
-    """The K2 analysis of ``gamma_t_set_minimizing_k2_components(g)``."""
+    """The K2 analysis of ``gamma_t_set_minimizing_k2_components(g)``.
+
+    The sets are ranked on masks; only the winner is analysed in full.
+    """
     require_isolate_free(g)
     if has_clique_component(g):
         raise CliqueComponentError("graph has a clique component")
-    best = min(
-        (analyze_k2_components(g, d) for d in enumerate_gamma_t_sets(g)),
-        key=lambda analysis: (len(analysis.pairs), analysis.symmetric_count()),
-    )
+
+    def rank(mask: int) -> tuple[int, int]:
+        if _union(g.adj, mask) != g.full_mask:
+            raise NotTotalDominatingError(f"{list(bits(mask))} is not a total dominating set")
+        pairs, _, symmetric, _ = _k2_split(g, mask)
+        return len(pairs), sum(symmetric)
+
+    best = analyze_k2_components(g, VertexSet(min(_gamma_t_masks(g), key=rank), g.n))
     if best.symmetric_count() != 0:
         raise AssertionError(
             "every minimum total dominating set kept a symmetrically linked "

@@ -85,18 +85,22 @@ def is_minimal_td_set(g: Graph, d: VertexSet) -> TDCertificate | None:
     """
     if not is_total_dominating_set(g, d):
         raise NotTotalDominatingError(f"{sorted(d)} is not a total dominating set")
+    # private[v]: pn(v, D), the vertices whose only neighbor in D is v
+    private = dict.fromkeys(d, 0)
+    for w in range(g.n):
+        inside = g.adj[w] & d.mask
+        if not inside & (inside - 1):
+            private[inside.bit_length() - 1] |= 1 << w
     witnesses = {}
-    for v in d:
-        pn, epn, ipn = private_neighborhoods(g, d, v)
+    for v, pn in private.items():
         if not pn:
             return None
-        witnesses[v] = (epn, ipn)
+        witnesses[v] = (VertexSet(pn & ~d.mask, g.n), VertexSet(pn & d.mask, g.n))
     return TDCertificate(d, witnesses)
 
 
-@functools.lru_cache(maxsize=1)
-def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
-    """Masks of all minimal TD-sets of ``g``, ascending.
+def _minimal_td_search(g: Graph, least: bool) -> list[int]:
+    """Masks of minimal TD-sets of ``g``: all of them, or with ``least`` a minimum one last.
 
     Depth-first search over the vertices by descending degree (ties: lower
     index first), keeping ``once``/``twice``, the vertices with at least one
@@ -105,8 +109,11 @@ def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
     vertices, or when a member has no private neighbor ``adj & ~twice``:
     adding vertices only shrinks private neighborhoods.  A chosen set that
     totally dominates is recorded and not extended, since every proper
-    superset of a TD-set has a redundant member.  Memory is O(n) plus the
-    output and the recursion is at most n + 1 deep.
+    superset of a TD-set has a redundant member.  With ``least``, a branch
+    is also cut once it cannot beat the smallest set recorded so far, so
+    each recorded set is smaller than the one before and the last is a
+    minimum TD-set.  Memory is O(n) plus the output and the recursion is at
+    most n + 1 deep.
     """
     require_isolate_free(g)
     n, adj, full = g.n, g.adj, g.full_mask
@@ -116,12 +123,18 @@ def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
     for i in range(n - 1, -1, -1):
         reach[i] = reach[i + 1] | adj[order[i]]
     found = []
+    # a branch whose members number cap - 1 cannot beat the sets found; n + 1
+    # cuts nothing, since a set that holds every vertex totally dominates
+    cap = n + 1
 
     def extend(i: int, chosen: int, members: tuple, once: int, twice: int) -> None:
+        nonlocal cap
         if once == full:
             found.append(chosen)
+            if least:
+                cap = len(members)
             return
-        if full & ~once & ~reach[i]:
+        if full & ~once & ~reach[i] or len(members) + 1 >= cap:
             return
         v = order[i]
         row = adj[v]
@@ -134,7 +147,25 @@ def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
         extend(i + 1, chosen, members, once, twice)
 
     extend(0, 0, (), 0, 0)
-    return tuple(sorted(found))
+    return found
+
+
+@functools.lru_cache(maxsize=1)
+def _minimal_td_masks(g: Graph) -> tuple[int, ...]:
+    """Masks of all minimal TD-sets of ``g``, ascending; kept for the last graph."""
+    return tuple(sorted(_minimal_td_search(g, least=False)))
+
+
+def _gamma_t_value(g: Graph) -> int:
+    """γt alone, for a graph whose sets no one reads: it leaves the cache alone."""
+    return _minimal_td_search(g, least=True)[-1].bit_count()
+
+
+def _gamma_t_masks(g: Graph) -> list[int]:
+    """Masks of all minimum TD-sets of ``g``, ascending."""
+    masks = _minimal_td_masks(g)
+    k = min(map(int.bit_count, masks))
+    return [mask for mask in masks if mask.bit_count() == k]
 
 
 def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
@@ -144,11 +175,8 @@ def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
     the minimal TD-sets; the witness is the least of the minimum ones as a
     sorted vertex tuple.
     """
-    masks = _minimal_td_masks(g)
-    k = min(mask.bit_count() for mask in masks)
-    minimum = (mask for mask in masks if mask.bit_count() == k)
-    witness = min(minimum, key=lambda mask: tuple(bits(mask)))
-    return k, VertexSet(witness, g.n)
+    witness = min(_gamma_t_masks(g), key=lambda mask: tuple(bits(mask)))
+    return witness.bit_count(), VertexSet(witness, g.n)
 
 
 def upper_total_domination_number(g: Graph) -> tuple[int, VertexSet]:
@@ -163,11 +191,8 @@ def enumerate_gamma_t_sets(g: Graph) -> Iterator[VertexSet]:
     These are the minimal TD-sets of least size, read off the same search
     as γt without a separate γt computation.
     """
-    masks = _minimal_td_masks(g)
-    k = min(mask.bit_count() for mask in masks)
-    for mask in masks:
-        if mask.bit_count() == k:
-            yield VertexSet(mask, g.n)
+    for mask in _gamma_t_masks(g):
+        yield VertexSet(mask, g.n)
 
 
 def enumerate_minimal_td_sets(g: Graph) -> Iterator[VertexSet]:

@@ -40,20 +40,23 @@ class PropagationTrace:
 
 
 def _closure_mask(g: Graph, mask: int) -> int:
-    """Fixed point of the color-change rule, masks only."""
+    """Fixed point of the color-change rule, masks only.
+
+    A blue vertex can force only once its white neighbors are down to one,
+    so each blue vertex is looked at once, and again after a neighbor
+    turns blue.
+    """
     adj = g.adj
     full = g.full_mask
-    changed = True
-    while changed and mask != full:
-        changed = False
-        todo = mask
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            white = adj[v] & ~mask
-            if white and not white & (white - 1):
-                mask |= white
-                changed = True
+    todo = mask
+    while todo and mask != full:
+        low = todo & -todo
+        todo ^= low
+        white = adj[low.bit_length() - 1] & ~mask
+        if white and not white & (white - 1):
+            mask |= white
+            # the forced vertex and its blue neighbors have fewer white neighbors
+            todo |= (adj[white.bit_length() - 1] | white) & mask
     return mask
 
 
@@ -132,7 +135,8 @@ def _wavefront_value(g: Graph, seed: int = 0) -> int:
     holding V is Z(G) (the wavefront search of Brimkov, Fast and Hicks,
     EJOR 2019).  A move into V at cost c ends the search at once when
     c <= max(min degree, level + 1), since every other route costs at least
-    level + 1 and Z(G) is at least the minimum degree.
+    level + 1 and Z(G) is at least the minimum degree.  Different moves
+    often grow the same mask, so each grown mask is closed once.
     """
     n = g.n
     cadj = g.cadj
@@ -140,6 +144,8 @@ def _wavefront_value(g: Graph, seed: int = 0) -> int:
     floor = g.min_degree()  # Z(G) >= min degree
     start = _closure_mask(g, seed)
     cost = {start: seed.bit_count()}
+    # closure[grown]: the closure of each mask grown so far
+    closure = {}
     levels = [[] for _ in range(n + 1)]
     levels[cost[start]].append(start)
     for level, states in enumerate(levels):
@@ -153,7 +159,9 @@ def _wavefront_value(g: Graph, seed: int = 0) -> int:
                 if white:
                     step = level + max(white.bit_count() - 1, 1)
                     grown = blue | white
-                    closed = grown if grown in cost else _closure_mask(g, grown)
+                    closed = closure.get(grown)
+                    if closed is None:
+                        closed = closure[grown] = grown if grown in cost else _closure_mask(g, grown)
                     if step < cost.get(closed, n + 1):
                         if closed == full and step <= max(floor, level + 1):
                             return step  # nothing left in the queue can beat it
@@ -218,12 +226,12 @@ def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     valid exactly when its vertex has a neighbor, and the empty sequence is
     valid.  Duplicate or out-of-range entries raise.
     """
-    seen = set()
+    seen = 0
     for v in vertices:
         g._check_vertex(v)
-        if v in seen:
+        if seen >> v & 1:
             raise ValueError(f"duplicate vertex {v} in sequence")
-        seen.add(v)
+        seen |= 1 << v
     covered = 0
     footprints = []
     for i, v in enumerate(vertices):
@@ -245,15 +253,25 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
     neighbor, which is a candidate).  Candidates whose footprints do not
     overlap, even through others, never interact, so the value is the sum
     over those groups, each memoised on its own mask (component caching, as
-    in model counting).  Every step removes a vertex of U and no vertex is
-    appendable twice, so a group's scan stops once its value reaches
-    min(|U|, candidates).
+    in model counting).  Every step removes a vertex of U, so a state is
+    worth at most its uncovered count: each state scans the uncovered masks
+    it can move to largest first and stops at the first one too small to
+    raise its value, or once the value reaches the number of candidates,
+    since no vertex is appendable twice.  The witness walk skips the moves
+    that the same count rules out.
     """
     n = g.n
     adj = g.adj
     # link[u]: the union of the rows that hold u; rows are symmetric, so
     # those are the rows of the vertices in rows[u]
-    link = tuple(_union(rows, row) for row in rows)
+    link = []
+    for row in rows:
+        joined = 0
+        while row:
+            low = row & -row
+            joined |= rows[low.bit_length() - 1]
+            row ^= low
+        link.append(joined)
     memo = {0: 0}
 
     def best(uncovered: int) -> int:
@@ -269,19 +287,19 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
                     rest ^= group
                 memo[uncovered] = value
                 return value
-        rests = []
-        for v in range(n):
-            if adj[v] & uncovered:
-                rests.append(uncovered & ~rows[v])
-        bound = min(uncovered.bit_count(), len(rests))
+        rests = [uncovered & ~rows[v] for v in range(n) if adj[v] & uncovered]
+        candidates = len(rests)
+        rests.sort(key=int.bit_count, reverse=True)
         value = 0
         for rest in rests:
+            if rest.bit_count() < value:
+                break  # best(rest) <= |rest|, so this and every later move falls short
             sub = memo.get(rest)
             if sub is None:
                 sub = best(rest)
             if sub >= value:
                 value = sub + 1
-                if value == bound:
+                if value == candidates:
                     break
         memo[uncovered] = value
         return value
@@ -295,6 +313,8 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
         for v in range(n):
             if adj[v] & uncovered:
                 rest = uncovered & ~rows[v]
+                if rest.bit_count() + 1 < remaining:
+                    continue  # best(rest) <= |rest| cannot finish the sequence
                 sub = memo.get(rest)
                 if sub is None:
                     sub = best(rest)

@@ -37,9 +37,8 @@ def isolated_vertices(g: Graph) -> VertexSet:
 
 
 def require_isolate_free(g: Graph) -> None:
-    isolates = isolated_vertices(g)
-    if isolates:
-        raise IsolatedVertexError(f"graph has isolated vertices {sorted(isolates)}")
+    if not all(g.adj):
+        raise IsolatedVertexError(f"graph has isolated vertices {sorted(isolated_vertices(g))}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -225,12 +224,12 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
-        return min(row.bit_count() for row in self.adj)
+        return min(map(int.bit_count, self.adj))
 
     def max_degree(self) -> int:
         if self.n == 0:
             return 0
-        return max(row.bit_count() for row in self.adj)
+        return max(map(int.bit_count, self.adj))
 
     def open_nbhd(self, v: int) -> VertexSet:
         self._check_vertex(v)
@@ -277,11 +276,18 @@ def _shown(ch: str) -> str:
     return repr(ch)
 
 
+# each graph6 edge character as its six bits, in stream order
+_G6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 token into a labeled graph.
 
     Strict about the size byte, the 63..126 character range and trailing
-    garbage; padding bits beyond the edge data are ignored.
+    garbage; padding bits beyond the edge data are ignored.  The edge bits
+    are read as one integer with the first bit lowest, so the pair i < j is
+    bit j(j - 1)/2 + i, and the j bits from j(j - 1)/2 on are the row of j
+    below j.
     """
     if not text:
         raise Graph6Error("empty graph6 string", 0)
@@ -300,22 +306,23 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(text) > 1 + need_bytes:
         raise Graph6Error("trailing garbage after edge data", 1 + need_bytes)
+    stream = text[1:].translate(_G6_BITS)
+    if len(stream) != 6 * need_bytes:
+        # a character outside the range was left as it is, one position long
+        for off, ch in enumerate(text[1:], start=1):
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6Error(f"character {_shown(ch)} outside graph6 range", off)
+    edges = int(stream[need_bits - 1 :: -1], 2) if need_bits else 0
     rows = [0] * n
-    pos = 0  # index into the edge bit stream
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for off, ch in enumerate(text[1:], start=1):
-        value = ord(ch) - 63
-        if not 0 <= value <= 63:
-            raise Graph6Error(f"character {_shown(ch)} outside graph6 range", off)
-        for k in range(5, -1, -1):
-            if pos >= need_bits:
-                break
-            if value >> k & 1:
-                i, j = pairs[pos]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    for j in range(1, n):
+        below = edges & ((1 << j) - 1)
+        edges >>= j
+        rows[j] |= below
+        while below:
+            low = below & -below
+            rows[low.bit_length() - 1] |= 1 << j
+            below ^= low
+    return Graph._derived(n, rows)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -369,9 +376,13 @@ def _reach(rows, seed: int, within: int) -> int:
 
 def _is_clique(g: Graph, mask: int) -> bool:
     """True when every pair of vertices in ``mask`` is adjacent."""
-    for v in bits(mask):
-        if mask & ~g.cadj[v]:
+    cadj = g.cadj
+    todo = mask
+    while todo:
+        low = todo & -todo
+        if mask & ~cadj[low.bit_length() - 1]:
             return False
+        todo ^= low
     return True
 
 
@@ -431,9 +442,12 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, tuple[int, ...]]:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
+    """``g - v``, the vertices above ``v`` renumbered down by one."""
     g._check_vertex(v)
-    sub, _ = induced_subgraph(g, VertexSet(g.full_mask & ~(1 << v), g.n))
-    return sub
+    below = (1 << v) - 1
+    rows = [row & below | row >> 1 & ~below for row in g.adj]
+    del rows[v]
+    return Graph._derived(g.n - 1, rows)
 
 
 def is_clique(g: Graph, s: VertexSet) -> bool:
@@ -450,7 +464,7 @@ def is_clique_component(g: Graph, c: VertexSet) -> bool:
 
 
 def has_clique_component(g: Graph) -> bool:
-    return any(is_clique(g, c) for c in components(g))
+    return any(_is_clique(g, comp) for comp in _component_masks(g, g.full_mask))
 
 
 def are_closed_twins(g: Graph, u: int, v: int) -> bool:
@@ -496,21 +510,35 @@ def is_chordal(g: Graph) -> bool:
 
     The MCS visiting order, reversed, is a perfect elimination ordering
     exactly when the graph is chordal, so it suffices to check that each
-    vertex's earlier-visited neighbors form a clique.
+    vertex's earlier-visited neighbors form a clique.  The search visits
+    the least vertex among those with the most visited neighbors, kept as
+    one mask per count.
     """
     n = g.n
+    adj = g.adj
     weight = [0] * n
+    # level[w]: the unvisited vertices with w visited neighbors
+    level = [g.full_mask] + [0] * n
+    top = 0
     visited = 0
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if not visited >> u & 1),
-            key=lambda u: (weight[u], -u),
-        )
-        if not _is_clique(g, g.adj[v] & visited):
+        while not level[top]:
+            top -= 1
+        pick = level[top] & -level[top]
+        level[top] ^= pick
+        v = pick.bit_length() - 1
+        if not _is_clique(g, adj[v] & visited):
             return False
-        visited |= 1 << v
-        for u in bits(g.adj[v] & ~visited):
+        visited |= pick
+        todo = adj[v] & ~visited
+        while todo:
+            low = todo & -todo
+            u = low.bit_length() - 1
+            level[weight[u]] ^= low
             weight[u] += 1
+            level[weight[u]] |= low
+            top = max(top, weight[u])
+            todo ^= low
     return True
 
 

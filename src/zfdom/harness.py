@@ -34,7 +34,6 @@ from .graphs import (
     is_chordal,
     is_clique,
     is_connected,
-    isolated_vertices,
     parse_graph6,
     simplicial_vertices,
 )
@@ -78,7 +77,7 @@ class _Facts:
 
     def __init__(self, g: Graph, budget_ms: int | None = None):
         self.g = g
-        self.isolate_free = not isolated_vertices(g)
+        self.isolate_free = all(g.adj)
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self._solved: dict[str, tuple] = {}
 
@@ -173,11 +172,11 @@ def _simplicial_deletion(f: _Facts, zg, gt) -> bool:
     # of a simplicial vertex is simplicial: keep the highest of each class
     kept = f.simplicial.mask & ~_twin_seed(f.g)
     subgraphs = [delete_vertex(f.g, u) for u in bits(kept)]
-    subgraphs = [h for h in subgraphs if not isolated_vertices(h)]
+    subgraphs = [h for h in subgraphs if all(h.adj)]
     _require(subgraphs)
     for h in subgraphs:
         sub_zg = f.run(forcing.z_grundy_number, h)[0]
-        sub_gt = f.run(domination.total_domination_number, h)[0]
+        sub_gt = f.run(domination._gamma_t_value, h)
         if not (zg - 1 <= sub_zg <= zg and gt - 1 <= sub_gt <= gt):
             return False
     return True

@@ -97,11 +97,20 @@ class ParallelPathsDecomposition:
     @classmethod
     def from_paths(cls, g: Graph, hub: int, paths) -> ParallelPathsDecomposition:
         paths = tuple(tuple(p) for p in paths)
-        on_path = set()
+        n = g.n
+        # on_path[v]: v's neighbors along the paths, as a mask
+        on_path = [0] * n
         for path in paths:
             for a, b in zip(path, path[1:]):
-                on_path.add((min(a, b), max(a, b)))
-        extra = tuple(e for e in sorted(g.edges()) if e not in on_path)
+                if 0 <= a < n and 0 <= b < n:
+                    on_path[a] |= 1 << b
+                    on_path[b] |= 1 << a
+        # the edges (v, u) with v < u, in sorted order, that no path uses
+        extra = tuple(
+            (v, u)
+            for v in range(n)
+            for u in bits(g.adj[v] & ~on_path[v] & ~((2 << v) - 1))
+        )
         return cls(hub, paths, extra)
 
     def to_json(self) -> dict:
@@ -147,7 +156,8 @@ def validate_decomposition(g: Graph, d: ParallelPathsDecomposition) -> Decomposi
         if len(set(path)) != len(path):
             raise DecompositionStructureError(f"path {idx} repeats a vertex")
         for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
+            if not (0 <= a < n and 0 <= b < n and g.adj[a] >> b & 1):
+                g.has_edge(a, b)  # a vertex out of range raises IndexError here
                 raise DecompositionStructureError(
                     f"path {idx} uses the non-edge ({a}, {b})"
                 )
@@ -162,11 +172,13 @@ def validate_decomposition(g: Graph, d: ParallelPathsDecomposition) -> Decomposi
     if cover != g.full_mask:
         raise DecompositionStructureError("paths do not cover the vertex set")
 
+    # every vertex is in range now: each path is the hub alone or a chain of edges
     induced = []
     for idx, path in enumerate(d.paths):
         for i, a in enumerate(path):
+            row = g.adj[a]
             for b in path[i + 2 :]:
-                if g.has_edge(a, b):
+                if row >> b & 1:
                     induced.append((idx, (a, b)))
 
     # tails[v] = vertices strictly after v on its own path

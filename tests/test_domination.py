@@ -113,6 +113,17 @@ class TestMinimality:
                     cert = is_minimal_td_set(g, d)
                     assert (cert is not None) == (frozenset(d) in expected)
 
+    def test_witnesses_are_the_private_neighborhoods(self, graphs_by_order):
+        for n in range(2, 8):
+            for g in graphs_by_order[n]:
+                if not all(g.adj):
+                    continue
+                for d in enumerate_minimal_td_sets(g):
+                    cert = is_minimal_td_set(g, d)
+                    assert cert.dset == d and list(cert.witnesses) == list(d)
+                    for v, witness in cert.witnesses.items():
+                        assert witness == private_neighborhoods(g, d, v)[1:]
+
 
 class TestExactNumbers:
     def test_family_values(self):
@@ -250,3 +261,31 @@ class TestEnumeratorContracts:
         finally:
             sys.setprofile(None)
         assert 0 < nodes <= 2 * (g.n + 1) * len(masks)
+
+
+class TestCappedGammaT:
+    """γt alone, from the search with a size cap, as the deletion check reads it."""
+
+    def test_matches_brute_on_every_small_graph(self, graphs_by_order):
+        for n in range(2, 8):
+            for g in graphs_by_order[n]:
+                if all(g.adj):
+                    assert domination._gamma_t_value(g) == brute_gamma_t(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(isolate_free_graphs())
+    def test_matches_brute_on_random_graphs(self, g):
+        assert domination._gamma_t_value(g) == brute_gamma_t(g)
+
+    def test_rejects_isolated_vertices(self):
+        with pytest.raises(IsolatedVertexError):
+            domination._gamma_t_value(Graph.from_edges(3, [(0, 1)]))
+
+    def test_leaves_the_cached_enumeration_alone(self):
+        g = cycle(5).graph
+        masks = domination._minimal_td_masks(g)
+        before = domination._minimal_td_masks.cache_info()
+        assert domination._gamma_t_value(path(4).graph) == 2
+        assert domination._minimal_td_masks(g) is masks
+        after = domination._minimal_td_masks.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

@@ -340,6 +340,39 @@ class TestGrundyWitnesses:
             assert k == value
 
 
+class TestWorkCaps:
+    """Work counts of the exact searches over the 853 connected 7-vertex graphs."""
+
+    def test_grundy_dp_states(self, connected_by_order):
+        """At most 15,000 DP states for both covers; the DP solves 13,609.
+
+        A state is worth at most its uncovered count, which cuts the scan of
+        its moves; without that cut the same DPs solve 25,341 states.
+        """
+
+        def solve_all():
+            for g in connected_by_order[7]:
+                z_grundy_number(g)
+                if all(g.adj):
+                    grundy_total_number(g)
+
+        _, callers = traced_calls(solve_all, "best", 15_000)
+        assert 0 < sum(callers.values()) <= 15_000
+
+    def test_wavefront_closes_each_grown_mask_once(self, connected_by_order):
+        """At most 7,600 wavefront closures; the search runs 7,045.
+
+        Different moves often grow the same mask; closing it on every move
+        costs 9,105 closures.  The cap on all closures only stops a runaway.
+        """
+        _, callers = traced_calls(
+            lambda: [zero_forcing_number(g) for g in connected_by_order[7]],
+            "_closure_mask",
+            20_000,
+        )
+        assert 0 < callers["_wavefront_value"] <= 7_600
+
+
 class TestSkewDuality:
     """Lin (LAA 2019): the Grundy total domination number is n - Z_-(G).
 

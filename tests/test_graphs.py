@@ -133,6 +133,33 @@ class TestGraph6:
         for g in enumerate_labeled_graphs(4):
             assert parse_graph6(emit_graph6(g)) == g
 
+    @staticmethod
+    def assert_decodes(g):
+        """The rows decoded without checks pass them, and encode back to the token."""
+        token = encode_graph6_by_hand(g)
+        h = parse_graph6(token)
+        checked = Graph(h.n, h.adj)
+        assert (h.n, h.adj, h.cadj) == (checked.n, checked.adj, checked.cadj)
+        assert h == g and encode_graph6_by_hand(h) == token
+
+    def test_decoded_rows_of_every_small_graph(self, graphs_by_order):
+        for n in range(8):
+            for g in graphs_by_order[n]:
+                self.assert_decodes(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(graphs())
+    def test_decoded_rows_of_random_graphs(self, g):
+        self.assert_decodes(g)
+
+    def test_padding_bits_are_ignored(self, graphs_by_order):
+        for n in range(2, 8):
+            padding = -(n * (n - 1) // 2) % 6
+            for g in graphs_by_order[n]:
+                token = encode_graph6_by_hand(g)
+                noisy = token[:-1] + chr(ord(token[-1]) | (1 << padding) - 1)
+                assert parse_graph6(noisy) == g
+
     def test_parse_errors_carry_offsets(self):
         with pytest.raises(Graph6Error):
             parse_graph6("")
@@ -201,6 +228,26 @@ class TestInducedSubgraph:
 
     def test_delete_vertex(self):
         assert delete_vertex(P3, 2) == Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(IndexError):
+            delete_vertex(P3, 3)
+
+    @staticmethod
+    def assert_deletion_is_induced(g):
+        for v in range(g.n):
+            h = delete_vertex(g, v)
+            rest = VertexSet(g.full_mask & ~(1 << v), g.n)
+            assert h == induced_subgraph(g, rest)[0]
+            assert h.cadj == Graph(h.n, h.adj).cadj
+
+    def test_deletion_is_the_induced_subgraph_on_every_small_graph(self, graphs_by_order):
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                self.assert_deletion_is_induced(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(graphs())
+    def test_deletion_is_the_induced_subgraph_on_random_graphs(self, g):
+        self.assert_deletion_is_induced(g)
 
 
 class TestCliquesTwinsSimplicial:

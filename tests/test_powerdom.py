@@ -205,6 +205,13 @@ class TestValidation:
                 p4, ParallelPathsDecomposition.from_paths(p4, 1, [(1, 2, 3), (1, 0), (1, 2)])
             )
 
+    def test_out_of_range_vertex_is_an_index_error(self):
+        c4 = cycle(4).graph
+        with pytest.raises(IndexError):
+            validate_decomposition(
+                c4, ParallelPathsDecomposition.from_paths(c4, 0, [(0, 1, 9), (0, 3)])
+            )
+
     def test_selection_property_violation(self):
         # path 0-1-2-3 plus chord 1-3: vertex 1 sees two vertices of its tail
         paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
@@ -226,6 +233,31 @@ class TestValidation:
                     d = extract_decomposition(g, x)
                     if d is not None:
                         assert validate_decomposition(g, d).induced_violations == ()
+
+
+class TestExtraEdges:
+    """``extra_edges`` is the sorted list of the edges that no path uses."""
+
+    @staticmethod
+    def assert_extra_edges(g):
+        for x in range(g.n):
+            d = extract_decomposition(g, x)
+            if d is not None:
+                on_path = {(min(a, b), max(a, b)) for p in d.paths for a, b in zip(p, p[1:])}
+                assert d.extra_edges == tuple(e for e in sorted(g.edges()) if e not in on_path)
+
+    def test_every_small_graph(self, graphs_by_order):
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                self.assert_extra_edges(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(graphs())
+    def test_random_graphs_up_to_twelve_vertices(self, g):
+        self.assert_extra_edges(g)
+
+    def test_figure_graph(self, figure_three_paths):
+        self.assert_extra_edges(figure_three_paths)
 
 
 class TestRecognition:
