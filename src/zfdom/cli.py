@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterator
 
 from .graphs import Graph6Error, UnsupportedSizeError, emit_graph6, parse_graph6
-from .harness import CHECK_ORDER, PREDICATES, explain, hunt_extremal, run_corpus
+from .harness import _EXPLAIN_NAMES, CHECK_ORDER, PREDICATES, explain, hunt_extremal, run_corpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     expl = sub.add_parser("explain", help="print one invariant with a certificate")
     expl.add_argument("graph6")
-    expl.add_argument("invariant",
-                      help="one of: Z, zgrundy, grundytotal, gammat, gammat_upper, gammap")
+    expl.add_argument("invariant", help="one of: " + _EXPLAIN_NAMES)
 
     fam = sub.add_parser("family", help="emit a family instance as graph6")
     fam.add_argument("spec", help="e.g. windmill:3,2  doubleclique:3  gstar:<graph6>  hext:<graph6>:2,2")

@@ -12,7 +12,6 @@ that graphs attaining the factor-2 bound must satisfy.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .domination import (
@@ -26,6 +25,7 @@ from .domination import (
 from .forcing import ZSequence, z_grundy_number
 from .graphs import (
     Graph,
+    UnsupportedSizeError,
     VertexSet,
     _component_masks,
     _union,
@@ -209,8 +209,9 @@ class ExtremalPropertyReport:
 
     A False entry is a counterexample to the implementation (the properties
     are theorems); ``witnesses`` carries whatever made a property fail.
-    ``subset_checks`` counts the subset-bound evaluations and whether they
-    were exhaustive.
+    ``subset_checks`` counts the subset-bound evaluations.  ``exhaustive``
+    is always True: the subset bound is checked on every subset or the
+    report is refused.
     """
 
     properties: dict[str, bool]
@@ -234,7 +235,6 @@ PROPERTY_NAMES = (
 )
 
 _SUBSET_EXHAUSTIVE_MAX = 15
-_SUBSET_SAMPLES = 4096
 
 
 def _rest_of_graph(g: Graph, analysis: K2ComponentAnalysis) -> VertexSet:
@@ -287,7 +287,9 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
     """Evaluate the eight structural properties of a factor-2 extremal graph.
 
     Preconditions (checked): the upper total domination number equals twice
-    the Z-Grundy number and ``d`` is a maximum minimal TD-set.
+    the Z-Grundy number and ``d`` is a maximum minimal TD-set.  The subset
+    bound is checked on every subset of the vertices outside the regions, so
+    more than 15 of them raise ``UnsupportedSizeError``.
     """
     gk, _ = z_grundy_number(g)
     uk, _ = upper_total_domination_number(g)
@@ -297,6 +299,12 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
         raise ValueError("set is not a maximum minimal total dominating set")
 
     analysis = analyze_k2_components(g, d)
+    rest = _rest_of_graph(g, analysis)
+    if len(rest) > _SUBSET_EXHAUSTIVE_MAX:
+        raise UnsupportedSizeError(
+            f"the subset bound is checked on at most {_SUBSET_EXHAUSTIVE_MAX} vertices "
+            f"outside the regions, got {len(rest)}"
+        )
     props: dict[str, bool] = {}
     witnesses: dict[str, object] = {}
 
@@ -337,7 +345,6 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
             break
     props["region_closed_twins"] = twins
 
-    rest = _rest_of_graph(g, analysis)
     shared_ok = True
     disjoint_ok = True
     for u, v in itertools.combinations(sorted(rest), 2):
@@ -356,21 +363,11 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
     props["adjacent_share_region"] = shared_ok
     props["nonadjacent_share_not_one"] = disjoint_ok
 
-    rest_vertices = sorted(rest)
-    exhaustive = len(rest_vertices) <= _SUBSET_EXHAUSTIVE_MAX
-    if exhaustive:
-        subsets = [
-            VertexSet.of(combo, g.n)
-            for r in range(len(rest_vertices) + 1)
-            for combo in itertools.combinations(rest_vertices, r)
-        ]
-    else:
-        rng = random.Random(0)
-        subsets = [VertexSet.empty(g.n)]
-        for _ in range(_SUBSET_SAMPLES):
-            subsets.append(
-                VertexSet.of([v for v in rest_vertices if rng.random() < 0.5], g.n)
-            )
+    subsets = [
+        VertexSet.of(combo, g.n)
+        for r in range(len(rest) + 1)
+        for combo in itertools.combinations(rest, r)
+    ]
     bound_ok = True
     for b in subsets:
         isolated = VertexSet(
@@ -386,7 +383,7 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
             break
     props["subset_bound"] = bound_ok
 
-    return ExtremalPropertyReport(props, witnesses, len(subsets), exhaustive)
+    return ExtremalPropertyReport(props, witnesses, len(subsets))
 
 
 def non_twin_pairs_see_all(g: Graph) -> bool:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .forcing import z_grundy_number
-from .graphs import Graph, emit_graph6, parse_graph6
+from .graphs import _G6_MAX, Graph, UnsupportedSizeError, emit_graph6, parse_graph6
 
 PAPER = "paper"
 DERIVED = "derived"
@@ -252,7 +252,9 @@ def parse_family_spec(text: str) -> FamilyInstance:
 
     Forms: ``windmill:3,2``, ``doubleclique:3``, ``star:4``, ``path:7``,
     ``cycle:5``, ``complete:4``, ``multipartite:2,2,3``, ``gstar:<graph6>``
-    and ``hext:<graph6>:2,2``.
+    and ``hext:<graph6>:2,2``.  Every family's order is at least the sum of
+    its integer parameters, so a spec whose parameters sum to more than the
+    graph6 limit of 62 vertices is refused before any edge is built.
     """
     name, _, rest = text.partition(":")
     try:
@@ -290,4 +292,10 @@ def _ints(text: str, count: int | None) -> list[int]:
     parts = [p for p in text.split(",") if p != ""]
     if not parts or (count is not None and len(parts) != count):
         raise ValueError(f"expected {count or 'some'} integer parameters")
-    return [int(p) for p in parts]
+    values = [int(p) for p in parts]
+    if sum(values) > _G6_MAX:
+        raise UnsupportedSizeError(
+            f"parameters summing to {sum(values)} give more than {_G6_MAX} vertices, "
+            "the graph6 short-form limit"
+        )
+    return values

@@ -203,10 +203,11 @@ class ZSequence:
 
     @classmethod
     def build(cls, g: Graph, vertices) -> ZSequence:
+        vertices = tuple(vertices)
         check = is_z_sequence(g, vertices)
         if not check.valid:
             raise ValueError(f"not a Z-sequence: step {check.failed_index} has no new open neighbor")
-        return cls(g, tuple(vertices), check.footprints)
+        return cls(g, vertices, check.footprints)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -218,6 +219,18 @@ class ZSequence:
         }
 
 
+def _distinct_vertices(g: Graph, vertices) -> tuple[int, ...]:
+    """``vertices``, read once, as a tuple; an out-of-range or repeated entry raises."""
+    out = tuple(vertices)
+    seen = 0
+    for v in out:
+        g._check_vertex(v)
+        if seen >> v & 1:
+            raise ValueError(f"duplicate vertex {v} in sequence")
+        seen |= 1 << v
+    return out
+
+
 def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     """Check the Z-sequence condition at every step and report footprints.
 
@@ -226,15 +239,9 @@ def is_z_sequence(g: Graph, vertices) -> SequenceCheck:
     valid exactly when its vertex has a neighbor, and the empty sequence is
     valid.  Duplicate or out-of-range entries raise.
     """
-    seen = 0
-    for v in vertices:
-        g._check_vertex(v)
-        if seen >> v & 1:
-            raise ValueError(f"duplicate vertex {v} in sequence")
-        seen |= 1 << v
     covered = 0
     footprints = []
-    for i, v in enumerate(vertices):
+    for i, v in enumerate(_distinct_vertices(g, vertices)):
         if not g.adj[v] & ~covered:
             return SequenceCheck(False, tuple(footprints), i)
         footprints.append(VertexSet(g.cadj[v] & ~covered, g.n))
@@ -361,14 +368,7 @@ def complement_duality_check(g: Graph, vertices) -> bool:
     so a True return genuinely cross-checks the theorem.  Must return True
     on every input.
     """
-    seen = set()
-    mask = 0
-    for v in vertices:
-        g._check_vertex(v)
-        if v in seen:
-            raise ValueError(f"duplicate vertex {v} in sequence")
-        seen.add(v)
-        mask |= 1 << v
+    mask = sum(1 << v for v in _distinct_vertices(g, vertices))
     left = _orderable_as_z_sequence(g, mask)
     complement = VertexSet(g.full_mask & ~mask, g.n)
     return left == is_zero_forcing_set(g, complement)

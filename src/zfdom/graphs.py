@@ -497,48 +497,38 @@ def is_simplicial(g: Graph, v: int) -> bool:
     return _is_clique(g, g.adj[v])
 
 
-def simplicial_vertices(g: Graph) -> VertexSet:
+def _simplicial_mask(g: Graph, within: int) -> int:
+    """The vertices of ``within`` whose neighbors inside ``within`` form a clique."""
+    adj = g.adj
     mask = 0
-    for v in range(g.n):
-        if is_simplicial(g, v):
-            mask |= 1 << v
-    return VertexSet(mask, g.n)
+    todo = within
+    while todo:
+        low = todo & -todo
+        if _is_clique(g, adj[low.bit_length() - 1] & within):
+            mask |= low
+        todo ^= low
+    return mask
+
+
+def simplicial_vertices(g: Graph) -> VertexSet:
+    return VertexSet(_simplicial_mask(g, g.full_mask), g.n)
 
 
 def is_chordal(g: Graph) -> bool:
-    """Chordality via a maximum-cardinality-search elimination ordering.
+    """Chordality by repeated deletion of simplicial vertices.
 
-    The MCS visiting order, reversed, is a perfect elimination ordering
-    exactly when the graph is chordal, so it suffices to check that each
-    vertex's earlier-visited neighbors form a clique.  The search visits
-    the least vertex among those with the most visited neighbors, kept as
-    one mask per count.
+    A graph is chordal exactly when deleting simplicial vertices, over and
+    over, empties it (Fulkerson & Gross, "Incidence matrices and interval
+    graphs", Pacific J. Math. 1965).  A simplicial vertex stays simplicial
+    when other vertices are deleted, so each round deletes all of them; a
+    round that finds none leaves a subgraph that is not chordal.
     """
-    n = g.n
-    adj = g.adj
-    weight = [0] * n
-    # level[w]: the unvisited vertices with w visited neighbors
-    level = [g.full_mask] + [0] * n
-    top = 0
-    visited = 0
-    for _ in range(n):
-        while not level[top]:
-            top -= 1
-        pick = level[top] & -level[top]
-        level[top] ^= pick
-        v = pick.bit_length() - 1
-        if not _is_clique(g, adj[v] & visited):
+    left = g.full_mask
+    while left:
+        simplicial = _simplicial_mask(g, left)
+        if not simplicial:
             return False
-        visited |= pick
-        todo = adj[v] & ~visited
-        while todo:
-            low = todo & -todo
-            u = low.bit_length() - 1
-            level[weight[u]] ^= low
-            weight[u] += 1
-            level[weight[u]] |= low
-            top = max(top, weight[u])
-            todo ^= low
+        left &= ~simplicial
     return True
 
 

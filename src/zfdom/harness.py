@@ -501,6 +501,9 @@ _ALIASES = {name.replace("_", ""): name for name in _SOLVERS} | {
     "powerdomination": "gamma_p",
 }
 
+# the names that explain's help and its unknown-name error list
+_EXPLAIN_NAMES = "Z, zgrundy, grundytotal, gammat, gammat_upper, gammap"
+
 
 def explain(line: str, invariant: str) -> str:
     """Value of one invariant on one graph plus a checkable certificate."""
@@ -509,8 +512,7 @@ def explain(line: str, invariant: str) -> str:
         name = _ALIASES[invariant.lower().replace("_", "")]
     except KeyError:
         raise ValueError(
-            f"unknown invariant {invariant!r}; choose from "
-            "Z, zgrundy, grundytotal, gammat, gammat_upper, gammap"
+            f"unknown invariant {invariant!r}; choose from {_EXPLAIN_NAMES}"
         ) from None
     value, witness = _SOLVERS[name][0](g)
     out = io.StringIO()

@@ -27,6 +27,27 @@ def test_family_bad_spec(capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+def test_family_refuses_an_unprintable_spec_before_building_it(child_env):
+    """complete:100000 is refused from its parameter, not after building its edges.
+
+    A child process, so that a build of the graph is cut off by the timeout.
+    """
+    code = (
+        "import sys, time\n"
+        "from zfdom.cli import main\n"
+        "start = time.perf_counter()\n"
+        "status = main(['family', 'complete:100000'])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert float(proc.stdout) < 1.0
+    assert "complete:100000" in proc.stderr and "62" in proc.stderr
+
+
 def test_run_file_and_exit_codes(tmp_path, capsys):
     corpus = tmp_path / "graphs.g6"
     corpus.write_text("Bw\nBg\n")

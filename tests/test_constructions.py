@@ -5,6 +5,7 @@ from zfdom import (
     Graph,
     IsolatedVertexError,
     NotTotalDominatingError,
+    UnsupportedSizeError,
     VertexSet,
     analyze_k2_components,
     check_extremal_properties,
@@ -167,6 +168,14 @@ class TestExtremalProperties:
         _, d = upper_total_domination_number(g)
         report = check_extremal_properties(g, d)
         assert report.all_hold(), report.properties
+
+    def test_refuses_more_than_fifteen_vertices_outside_the_regions(self):
+        # n = 20 with Gamma_t = 4 = 2 zgrundy, and the 16 base vertices lie outside
+        # both regions: every one of the 65,536 subsets would need a check
+        g = h_extension(complete(16).graph, (2, 2)).graph
+        _, d = upper_total_domination_number(g)
+        with pytest.raises(UnsupportedSizeError, match="at most 15 .* got 16"):
+            check_extremal_properties(g, d)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="factor-2"):

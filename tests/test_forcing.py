@@ -9,6 +9,7 @@ from zfdom import (
     Graph,
     IsolatedVertexError,
     VertexSet,
+    ZSequence,
     complement_duality_check,
     forcing,
     forcing_closure,
@@ -253,6 +254,16 @@ class TestZSequences:
         with pytest.raises(IndexError):
             is_z_sequence(path(3).graph, (0, 5))
 
+    def test_one_pass_iterables_are_read_once(self):
+        c4 = cycle(4).graph
+        assert is_z_sequence(c4, iter([0, 2])) == is_z_sequence(c4, [0, 2])
+        assert is_z_sequence(c4, iter([0, 2])).failed_index == 1
+        assert ZSequence.build(c4, iter([0, 1])).vertices == (0, 1)
+        with pytest.raises(ValueError, match="step 1"):
+            ZSequence.build(c4, iter([0, 2]))
+        with pytest.raises(ValueError, match="duplicate vertex 0"):
+            is_z_sequence(c4, iter([0, 0]))
+
     def test_footprints_partition_what_they_cover(self, graphs_by_order):
         for g in graphs_by_order[5]:
             _, witness = z_grundy_number(g)
@@ -418,6 +429,10 @@ class TestDuality:
         assert complement_duality_check(c5, (0, 1, 2))
         assert complement_duality_check(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), (0, 1))
         assert complement_duality_check(c5, ())
+        # {0, 2} orders into no Z-sequence of C4, and {1, 3} does not force it
+        assert complement_duality_check(cycle(4).graph, iter([0, 2]))
+        with pytest.raises(ValueError, match="duplicate vertex 0"):
+            complement_duality_check(c5, iter([0, 0]))
 
     def test_complement_correspondence_random(self):
         rng = random.Random(3)

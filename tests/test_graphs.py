@@ -289,9 +289,9 @@ class TestChordal:
         assert is_chordal(K4)
         assert is_chordal(Graph.from_edges(3, []))
 
-    def test_agrees_with_induced_cycle_search(self, connected_by_order):
-        for n in range(1, 8):
-            for g in connected_by_order[n]:
+    def test_agrees_with_induced_cycle_search(self, graphs_by_order):
+        for gs in graphs_by_order.values():
+            for g in gs:
                 assert is_chordal(g) == (not has_long_induced_cycle(g))
 
     def test_simplicial_deletion_preserves_chordality(self, connected_by_order):
@@ -350,8 +350,11 @@ def _assert_agrees_with_sets(g: Graph, masks) -> None:
         and len(comps) == 1
         and all(len(components_by_sets(nbrs, everything - {v})) == 1 for v in everything)
     )
+    simplicial = {v for v in everything if all(b in nbrs[a] for a, b in combinations(nbrs[v], 2))}
     for v in everything:
-        assert is_simplicial(g, v) == all(b in nbrs[a] for a, b in combinations(nbrs[v], 2))
+        assert is_simplicial(g, v) == (v in simplicial)
+    assert set(simplicial_vertices(g)) == simplicial
+    assert is_chordal(g) == (not has_long_induced_cycle(g))
     for mask in masks:
         s = {v for v in everything if mask >> v & 1}
         assert _union(g.adj, mask) == _mask(set().union(*(nbrs[v] for v in s)))
