@@ -39,12 +39,15 @@ class PropagationTrace:
         }
 
 
-def _closure_mask(g: Graph, mask: int) -> int:
+def _closure_mask(g: Graph, mask: int, steps: list | None = None) -> int:
     """Fixed point of the color-change rule, masks only.
 
     A blue vertex can force only once its white neighbors are down to one,
     so each blue vertex is looked at once, and again after a neighbor
-    turns blue.
+    turns blue.  Every vertex that can force waits in ``todo``, which is
+    taken lowest first, so each force is made by the least vertex able to
+    make it.  Each force is appended to ``steps``, when given, as the pair
+    (forcing vertex, forced vertex).
     """
     adj = g.adj
     full = g.full_mask
@@ -55,9 +58,16 @@ def _closure_mask(g: Graph, mask: int) -> int:
         white = adj[low.bit_length() - 1] & ~mask
         if white and not white & (white - 1):
             mask |= white
+            if steps is not None:
+                steps.append((low.bit_length() - 1, white.bit_length() - 1))
             # the forced vertex and its blue neighbors have fewer white neighbors
             todo |= (adj[white.bit_length() - 1] | white) & mask
     return mask
+
+
+def _reversed_bits(mask: int, n: int) -> int:
+    """``mask`` with vertex v renamed n - 1 - v."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def forcing_closure(g: Graph, blue: VertexSet, reverse_ties: bool = False) -> PropagationTrace:
@@ -65,26 +75,20 @@ def forcing_closure(g: Graph, blue: VertexSet, reverse_ties: bool = False) -> Pr
 
     The final set does not depend on the order of rule applications; the
     recorded trace applies, at each step, the lowest-index eligible forcing
-    vertex (highest-index under ``reverse_ties``, used to test confluence).
+    vertex (highest-index under ``reverse_ties``, used to test confluence:
+    the closure then runs on the graph with its labels reversed).
     """
     if blue.n != g.n:
         raise ValueError("blue set belongs to a graph of different order")
-    mask = blue.mask
     steps = []
-    scan = range(g.n - 1, -1, -1) if reverse_ties else range(g.n)
-    while True:
-        move = None
-        for v in scan:
-            if mask >> v & 1:
-                white = g.adj[v] & ~mask
-                if white and not white & (white - 1):
-                    move = (v, white.bit_length() - 1)
-                    break
-        if move is None:
-            break
-        steps.append(move)
-        mask |= 1 << move[1]
-    return PropagationTrace(blue, tuple(steps), VertexSet(mask, g.n))
+    if reverse_ties:
+        last = g.n - 1
+        mirror = Graph._derived(g.n, [_reversed_bits(row, g.n) for row in reversed(g.adj)])
+        final = _reversed_bits(_closure_mask(mirror, _reversed_bits(blue.mask, g.n), steps), g.n)
+        steps = [(last - v, last - u) for v, u in steps]
+    else:
+        final = _closure_mask(g, blue.mask, steps)
+    return PropagationTrace(blue, tuple(steps), VertexSet(final, g.n))
 
 
 def is_zero_forcing_set(g: Graph, s: VertexSet) -> bool:

@@ -3,8 +3,9 @@
 The power domination process observes the closed neighborhood of a seed set
 and then runs zero forcing, so gamma_p is zero forcing from N[S]: it comes
 from the seed search that also gives Z, run over closed-neighborhood rows
-on masks only.  The traced path (``power_closure``) serves certificates,
-explanations and the decomposition below.
+on masks only.  The traced path (``power_closure``) serves certificates
+and explanations; the decomposition below replays the steps that the
+same closure kernel records.
 
 A single-vertex seed certifies the structure of the whole graph: replaying
 its propagation from a hub assigns every vertex to one of deg(hub) paths,
@@ -217,12 +218,12 @@ def extract_decomposition(g: Graph, x: int) -> ParallelPathsDecomposition | None
     g._check_vertex(x)
     if g.n == 1:
         return ParallelPathsDecomposition.from_paths(g, x, [(x,)])
-    trace = power_closure(g, VertexSet.of([x], g.n))
-    if trace.final.mask != g.full_mask:
+    steps = []
+    if _closure_mask(g, g.cadj[x], steps) != g.full_mask:
         return None
     paths = [[x, v] for v in bits(g.adj[x])]
     tip_to_path = {path[1]: i for i, path in enumerate(paths)}
-    for forcer, forced in trace.steps:
+    for forcer, forced in steps:
         idx = tip_to_path.pop(forcer, None)
         if idx is None:
             raise AssertionError("forcing vertex is not a path tip")

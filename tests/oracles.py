@@ -39,18 +39,32 @@ def components_by_sets(nbrs: dict[int, set[int]], within) -> list[set[int]]:
     return out
 
 
-def closure_by_sets(nbrs: dict[int, set[int]], blue) -> set[int]:
+def forcing_steps_by_sets(
+    nbrs: dict[int, set[int]], blue, highest_first: bool = False
+) -> tuple[set[int], list[tuple[int, int]]]:
+    """Zero forcing to its fixed point, with the forces in the order made.
+
+    Every force rescans the blue vertices, and the lowest one with exactly
+    one white neighbor forces that neighbor (the highest one under
+    ``highest_first``).
+    This is the trace order that ``forcing_closure`` documents.
+    """
     blue = set(blue)
+    steps = []
     while True:
-        forced = None
-        for u in sorted(blue):
+        for u in sorted(blue, reverse=highest_first):
             white = nbrs[u] - blue
             if len(white) == 1:
                 forced = white.pop()
+                steps.append((u, forced))
+                blue.add(forced)
                 break
-        if forced is None:
-            return blue
-        blue.add(forced)
+        else:
+            return blue, steps
+
+
+def closure_by_sets(nbrs: dict[int, set[int]], blue) -> set[int]:
+    return forcing_steps_by_sets(nbrs, blue)[0]
 
 
 def brute_zero_forcing(g: Graph) -> tuple[int, tuple[int, ...]]:

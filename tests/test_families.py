@@ -1,8 +1,24 @@
+import itertools
+
 import pytest
 
-from zfdom import Graph, components, delete_vertex, emit_graph6, is_clique
+from zfdom import (
+    Graph,
+    components,
+    delete_vertex,
+    emit_graph6,
+    grundy_total_number,
+    is_clique,
+    parse_graph6,
+    total_domination_number,
+    upper_total_domination_number,
+    z_grundy_number,
+    zero_forcing_number,
+)
 from zfdom._smallgraphs import are_isomorphic
 from zfdom.families import (
+    DERIVED,
+    PAPER,
     FamilyInstance,
     complete,
     complete_multipartite,
@@ -106,6 +122,78 @@ class TestDerivedFamilies:
     def test_h_extension_needs_enough_cliques(self):
         with pytest.raises(ValueError, match="at least 3"):
             h_extension(cycle(5).graph, (2, 2))
+
+    def test_h_extension_of_p3_and_a_point_needs_three_cliques(self):
+        """With two cliques zgrundy would be 3, not 2, although zgrundy(H) = 2."""
+        base = parse_graph6("CE")  # P3 plus an isolated vertex
+        assert z_grundy_number(base)[0] == 2
+        assert z_grundy_number(parse_graph6("GE~~fc"))[0] == 3  # its extension by K2, K2
+        with pytest.raises(ValueError, match="need at least 3 cliques"):
+            h_extension(base, (2, 2))
+
+
+SOLVERS = {
+    "zero_forcing": zero_forcing_number,
+    "zgrundy": z_grundy_number,
+    "gamma_t": total_domination_number,
+    "upper_gamma_t": upper_total_domination_number,
+    "grundy_total": grundy_total_number,
+}
+
+
+def assert_claims_hold(inst):
+    assert inst.expected, inst.spec_string()  # families must carry claims
+    for claim in inst.expected:
+        actual = SOLVERS[claim.invariant](inst.graph)[0]
+        assert claim.holds_for(actual), (inst.spec_string(), claim, actual)
+
+
+def assert_derived_families_hold(bases):
+    """``g_star`` of every base, and ``h_extension`` with 1 up to guard + 2 cliques.
+
+    The guard is zgrundy(H), plus min(#isolated, 2) for a base H with
+    isolated vertices, whose claims are then tagged derived; fewer cliques
+    are refused.  Cliques have order 2, or all have order 3.
+    """
+    for h in bases:
+        if h.n:
+            assert_claims_hold(g_star(h))
+        isolated = sum(not row for row in h.adj)
+        guard = max(z_grundy_number(h)[0] + min(isolated, 2), 1)
+        for order, ell in itertools.product((2, 3), range(1, guard + 3)):
+            if ell < guard:
+                with pytest.raises(ValueError, match=f"need at least {guard} cliques"):
+                    h_extension(h, (order,) * ell)
+                continue
+            inst = h_extension(h, (order,) * ell)
+            assert_claims_hold(inst)
+            assert {c.provenance for c in inst.expected} == {DERIVED if isolated else PAPER}
+
+
+class TestClaimsMatchTheSolvers:
+    def test_named_families(self):
+        instances = (
+            [windmill(k, n) for k in (3, 4, 5) for n in (2, 3, 4)]
+            + [double_clique_matched(k) for k in range(2, 6)]
+            + [star(leaves) for leaves in range(2, 8)]
+            + [path(n) for n in range(1, 13)]
+            + [cycle(n) for n in range(3, 11)]
+            + [complete(n) for n in range(1, 8)]
+            + [
+                complete_multipartite(sizes)
+                for parts in (2, 3)
+                for sizes in itertools.product((1, 2, 3), repeat=parts)
+            ]
+        )
+        for inst in instances:
+            assert_claims_hold(inst)
+
+    def test_derived_families_on_every_base_up_to_six_vertices(self, graphs_by_order):
+        assert_derived_families_hold(g for n in range(7) for g in graphs_by_order[n])
+
+    @pytest.mark.extended
+    def test_derived_families_on_seven_vertex_bases(self, graphs_by_order):
+        assert_derived_families_hold(graphs_by_order[7])
 
 
 class TestSpecStrings:

@@ -39,6 +39,15 @@ from zfdom.harness import (
     run_corpus,
 )
 
+from oracles import (
+    brute_gamma_p,
+    brute_gamma_t,
+    brute_skew_forcing_set,
+    brute_upper_gamma_t,
+    brute_z_grundy,
+    brute_zero_forcing,
+)
+
 
 class TestComputeReport:
     def test_triangle_skips_the_clique_bound(self):
@@ -238,6 +247,31 @@ class TestGoldenReports:
     @pytest.mark.extended
     def test_every_report(self):
         assert self.mismatches(1) == []
+
+
+class TestSecondSourceAtEight:
+    """Each of the six invariants of every connected n = 8 report equals its
+    definition-level oracle; grundy_total comes from the skew forcing dual
+    (Lin, LAA 2019).  About a minute and a half, mostly the Γt oracle."""
+
+    ORACLES = {
+        "zero_forcing": lambda g: brute_zero_forcing(g)[0],
+        "zgrundy": brute_z_grundy,
+        "grundy_total": lambda g: g.n - len(brute_skew_forcing_set(g)),
+        "gamma_t": brute_gamma_t,
+        "upper_gamma_t": brute_upper_gamma_t,
+        "gamma_p": brute_gamma_p,
+    }
+
+    @pytest.mark.oracles8
+    def test_every_report_matches_the_oracles(self, connected_eight):
+        compared = 0
+        for g in connected_eight:
+            reported = compute_report(emit_graph6(g))["invariants"]
+            for name, oracle in self.ORACLES.items():
+                assert reported[name] == oracle(g), (emit_graph6(g), name)
+                compared += 1
+        assert compared == 6 * 11117
 
 
 class TestLargeSparseReports:

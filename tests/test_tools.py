@@ -25,6 +25,7 @@ def test_work_counts_are_deterministic():
     assert first["graphs"] == 3
     assert first["dp_states"] > 0 and first["td_nodes"] > 0
     assert first["closures"]["_wavefront_value"] > 0
+    assert first["closures"]["extract_decomposition"] > 0  # the parallel-paths hubs
 
 
 def test_work_count_command_prints_one_json_line(tmp_path, child_env):
