@@ -223,17 +223,6 @@ class ExtremalPropertyReport:
         return all(self.properties.values())
 
 
-PROPERTY_NAMES = (
-    "k2_components_only",
-    "pair_sees_region_alike",
-    "regions_are_cliques",
-    "no_region_cross_edges",
-    "region_closed_twins",
-    "adjacent_share_region",
-    "nonadjacent_share_not_one",
-    "subset_bound",
-)
-
 _SUBSET_EXHAUSTIVE_MAX = 15
 
 
@@ -244,20 +233,19 @@ def _rest_of_graph(g: Graph, analysis: K2ComponentAnalysis) -> VertexSet:
     return VertexSet(mask, g.n)
 
 
-def _fully_adjacent(g: Graph, u: int, region: VertexSet) -> bool:
-    return g.adj[u] & region.mask == region.mask
+def _full_regions(g: Graph, analysis: K2ComponentAnalysis, u: int) -> int:
+    """The indices of the regions ``u`` is adjacent to in full, as a mask."""
+    return sum(1 << i for i, r in enumerate(analysis.regions) if g.adj[u] & r.mask == r.mask)
 
 
 def fully_adjacent_indices(g: Graph, analysis: K2ComponentAnalysis, b: VertexSet) -> tuple[int, ...]:
     """Indices of regions some vertex of ``b`` is adjacent to in full."""
-    rest = _rest_of_graph(g, analysis)
-    if not b <= rest:
+    if not b <= _rest_of_graph(g, analysis):
         raise ValueError("subset must avoid the exclusively dominated regions")
-    out = []
-    for i, region in enumerate(analysis.regions):
-        if any(_fully_adjacent(g, u, region) for u in b):
-            out.append(i)
-    return tuple(out)
+    indices = 0
+    for u in b:
+        indices |= _full_regions(g, analysis, u)
+    return tuple(bits(indices))
 
 
 def max_minimal_cover_size(g: Graph, analysis: K2ComponentAnalysis, b: VertexSet) -> int | None:
@@ -283,6 +271,57 @@ def max_minimal_cover_size(g: Graph, analysis: K2ComponentAnalysis, b: VertexSet
     return max(minimal_sizes) if minimal_sizes else None
 
 
+def _rest_pairs(g: Graph, analysis: K2ComponentAnalysis, rest: VertexSet):
+    """(u, v, number of regions both see in full) for each pair u < v of ``rest``."""
+    for u, v in itertools.combinations(rest, 2):
+        yield u, v, (_full_regions(g, analysis, u) & _full_regions(g, analysis, v)).bit_count()
+
+
+def _subset_bound_failures(g: Graph, analysis: K2ComponentAnalysis, rest: VertexSet):
+    """The subsets B of ``rest``, smallest first, on which the bound fails.
+
+    The bound: zgrundy of B without its isolated vertices, plus the largest
+    minimal cover of those isolated vertices, is at most the number of
+    regions B sees in full.
+    """
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            b = VertexSet.of(combo, g.n)
+            isolated = VertexSet(sum(1 << u for u in combo if not g.adj[u] & b.mask), g.n)
+            lhs_grundy, _ = z_grundy_number(induced_subgraph(g, b - isolated)[0])
+            cover = max_minimal_cover_size(g, analysis, isolated)
+            if cover is None or lhs_grundy + cover > len(fully_adjacent_indices(g, analysis, b)):
+                yield list(combo)
+
+
+# Each scan (g, analysis, rest) yields the property's counterexamples in a
+# fixed order; the first one is the witness.
+_PROPERTIES = {
+    "k2_components_only": lambda g, a, rest: (sorted(comp) for comp in a.big_components),
+    "pair_sees_region_alike": lambda g, a, rest: (
+        (x, y) for (x, y), r in zip(a.pairs, a.regions) if g.cadj[x] & r.mask != g.cadj[y] & r.mask
+    ),
+    "regions_are_cliques": lambda g, a, rest: (sorted(r) for r in a.regions if not is_clique(g, r)),
+    "no_region_cross_edges": lambda g, a, rest: (
+        (i, j)
+        for i, j in itertools.combinations(range(len(a.regions)), 2)
+        if _union(g.adj, a.regions[i].mask) & a.regions[j].mask
+    ),
+    "region_closed_twins": lambda g, a, rest: (
+        sorted(r) for r in a.regions if len({g.cadj[v] for v in r}) > 1
+    ),
+    "adjacent_share_region": lambda g, a, rest: (
+        (u, v) for u, v, shared in _rest_pairs(g, a, rest) if g.has_edge(u, v) and not shared
+    ),
+    "nonadjacent_share_not_one": lambda g, a, rest: (
+        (u, v) for u, v, shared in _rest_pairs(g, a, rest) if not g.has_edge(u, v) and shared == 1
+    ),
+    "subset_bound": _subset_bound_failures,
+}
+
+PROPERTY_NAMES = tuple(_PROPERTIES)
+
+
 def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
     """Evaluate the eight structural properties of a factor-2 extremal graph.
 
@@ -305,85 +344,12 @@ def check_extremal_properties(g: Graph, d: VertexSet) -> ExtremalPropertyReport:
             f"the subset bound is checked on at most {_SUBSET_EXHAUSTIVE_MAX} vertices "
             f"outside the regions, got {len(rest)}"
         )
-    props: dict[str, bool] = {}
-    witnesses: dict[str, object] = {}
-
-    props["k2_components_only"] = not analysis.big_components
-    if analysis.big_components:
-        witnesses["k2_components_only"] = sorted(analysis.big_components[0])
-
-    alike = True
-    for (x, y), region in zip(analysis.pairs, analysis.regions):
-        if g.cadj[x] & region.mask != g.cadj[y] & region.mask:
-            alike = False
-            witnesses["pair_sees_region_alike"] = (x, y)
-            break
-    props["pair_sees_region_alike"] = alike
-
-    cliques = True
-    for region in analysis.regions:
-        if not is_clique(g, region):
-            cliques = False
-            witnesses["regions_are_cliques"] = sorted(region)
-            break
-    props["regions_are_cliques"] = cliques
-
-    cross_free = True
-    for i, j in itertools.combinations(range(len(analysis.regions)), 2):
-        if _union(g.adj, analysis.regions[i].mask) & analysis.regions[j].mask:
-            cross_free = False
-            witnesses["no_region_cross_edges"] = (i, j)
-            break
-    props["no_region_cross_edges"] = cross_free
-
-    twins = True
-    for region in analysis.regions:
-        closed = {g.cadj[v] for v in region}
-        if len(closed) > 1:
-            twins = False
-            witnesses["region_closed_twins"] = sorted(region)
-            break
-    props["region_closed_twins"] = twins
-
-    shared_ok = True
-    disjoint_ok = True
-    for u, v in itertools.combinations(sorted(rest), 2):
-        shared = sum(
-            1
-            for region in analysis.regions
-            if _fully_adjacent(g, u, region) and _fully_adjacent(g, v, region)
-        )
-        if g.has_edge(u, v):
-            if shared < 1:
-                shared_ok = False
-                witnesses["adjacent_share_region"] = (u, v)
-        elif shared == 1:
-            disjoint_ok = False
-            witnesses["nonadjacent_share_not_one"] = (u, v)
-    props["adjacent_share_region"] = shared_ok
-    props["nonadjacent_share_not_one"] = disjoint_ok
-
-    subsets = [
-        VertexSet.of(combo, g.n)
-        for r in range(len(rest) + 1)
-        for combo in itertools.combinations(rest, r)
-    ]
-    bound_ok = True
-    for b in subsets:
-        isolated = VertexSet(
-            sum(1 << u for u in b if not g.adj[u] & b.mask), g.n
-        )
-        active, _ = induced_subgraph(g, b - isolated)
-        lhs_grundy, _ = z_grundy_number(active)
-        cover = max_minimal_cover_size(g, analysis, isolated)
-        rhs = len(fully_adjacent_indices(g, analysis, b))
-        if cover is None or lhs_grundy + cover > rhs:
-            bound_ok = False
-            witnesses["subset_bound"] = sorted(b)
-            break
-    props["subset_bound"] = bound_ok
-
-    return ExtremalPropertyReport(props, witnesses, len(subsets))
+    found = {name: next(scan(g, analysis, rest), None) for name, scan in _PROPERTIES.items()}
+    return ExtremalPropertyReport(
+        {name: witness is None for name, witness in found.items()},
+        {name: witness for name, witness in found.items() if witness is not None},
+        1 << len(rest),
+    )
 
 
 def non_twin_pairs_see_all(g: Graph) -> bool:

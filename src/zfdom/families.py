@@ -254,6 +254,18 @@ def h_extension(h: Graph, sizes: tuple[int, ...]) -> FamilyInstance:
     )
 
 
+# name -> (constructor, number of integer parameters; None takes any number)
+_INT_FAMILIES = {
+    "windmill": (windmill, 2),
+    "doubleclique": (double_clique_matched, 1),
+    "star": (star, 1),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "multipartite": (lambda *sizes: complete_multipartite(sizes), None),
+}
+
+
 def parse_family_spec(text: str) -> FamilyInstance:
     """Build a family instance from a CLI spec string.
 
@@ -265,26 +277,9 @@ def parse_family_spec(text: str) -> FamilyInstance:
     """
     name, _, rest = text.partition(":")
     try:
-        if name == "windmill":
-            k, n = _ints(rest, 2)
-            return windmill(k, n)
-        if name == "doubleclique":
-            (k,) = _ints(rest, 1)
-            return double_clique_matched(k)
-        if name == "star":
-            (leaves,) = _ints(rest, 1)
-            return star(leaves)
-        if name == "path":
-            (n,) = _ints(rest, 1)
-            return path(n)
-        if name == "cycle":
-            (n,) = _ints(rest, 1)
-            return cycle(n)
-        if name == "complete":
-            (n,) = _ints(rest, 1)
-            return complete(n)
-        if name == "multipartite":
-            return complete_multipartite(tuple(_ints(rest, None)))
+        if name in _INT_FAMILIES:
+            build, count = _INT_FAMILIES[name]
+            return build(*_ints(rest, count))
         if name == "gstar":
             return g_star(parse_graph6(rest))
         if name == "hext":

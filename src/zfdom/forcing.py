@@ -275,14 +275,7 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
     adj = g.adj
     # link[u]: the union of the rows that hold u; rows are symmetric, so
     # those are the rows of the vertices in rows[u]
-    link = []
-    for row in rows:
-        joined = 0
-        while row:
-            low = row & -row
-            joined |= rows[low.bit_length() - 1]
-            row ^= low
-        link.append(joined)
+    link = [_union(rows, row) for row in rows]
     memo = {0: 0}
 
     def best(uncovered: int) -> int:

@@ -357,24 +357,39 @@ def test_08d_extended_forward_direction_holds(connected_eight):
     _report("08dx-forward", "forcing 2 implies 2-connected outerplanar at n = 8")
 
 
-def test_09_properties_of_factor_two_extremal_graphs(graphs_by_order):
-    extremal = 0
-    sets_checked = 0
-    for n in range(1, 8):
-        for g in _isolate_free(graphs_by_order[n]):
-            upper = upper_total_domination_number(g)[0]
-            if upper != 2 * z_grundy_number(g)[0]:
+def _extremal_properties_hold(graphs):
+    """(extremal graphs, maximum minimal TD-sets, subset checks), asserting criterion 09."""
+    extremal = sets_checked = subset_checks = 0
+    for g in _isolate_free(graphs):
+        upper = upper_total_domination_number(g)[0]
+        if upper != 2 * z_grundy_number(g)[0]:
+            continue
+        extremal += 1
+        for d in enumerate_minimal_td_sets(g):
+            if len(d) != upper:
                 continue
-            extremal += 1
-            for d in enumerate_minimal_td_sets(g):
-                if len(d) != upper:
-                    continue
-                report = check_extremal_properties(g, d)
-                assert report.exhaustive
-                assert report.all_hold(), (emit_graph6(g), sorted(d), report.properties)
-                sets_checked += 1
+            report = check_extremal_properties(g, d)
+            assert report.exhaustive
+            assert report.all_hold(), (emit_graph6(g), sorted(d), report.properties)
+            sets_checked += 1
+            subset_checks += report.subset_checks
+    return extremal, sets_checked, subset_checks
+
+
+def test_09_properties_of_factor_two_extremal_graphs(graphs_by_order):
+    extremal, sets_checked, _ = _extremal_properties_hold(
+        g for n in range(1, 8) for g in graphs_by_order[n]
+    )
     assert extremal > 0
     _report("09", f"all eight properties on {sets_checked} maximum sets of {extremal} graphs")
+
+
+@pytest.mark.extended
+def test_09_extended_order_eight(connected_eight):
+    """Criterion 09 on every maximum minimal TD-set of the connected n = 8 graphs."""
+    counts = _extremal_properties_hold(connected_eight)
+    assert counts == (25, 115, 470)
+    _report("09x", "all eight properties on 115 maximum sets of 25 graphs, n = 8")
 
 
 def test_10a_graph6_round_trip_on_full_enumeration():

@@ -17,11 +17,13 @@ from zfdom import (
     is_z_sequence,
     max_minimal_cover_size,
     non_twin_pairs_see_all,
+    parse_graph6,
     total_domination_number,
     upper_total_domination_number,
     z_grundy_number,
     z_sequence_from_gamma_t,
 )
+from zfdom.constructions import PROPERTY_NAMES, _PROPERTIES, _rest_of_graph
 from zfdom.families import (
     complete,
     cycle,
@@ -153,8 +155,6 @@ class TestHalfSequence:
 
 class TestExtremalProperties:
     def test_windmills_satisfy_everything(self):
-        from zfdom.constructions import PROPERTY_NAMES
-
         for k, n in ((3, 2), (4, 3)):
             g = windmill(k, n).graph
             _, d = upper_total_domination_number(g)
@@ -183,6 +183,58 @@ class TestExtremalProperties:
         wd = windmill(3, 2).graph
         with pytest.raises(ValueError, match="maximum"):
             check_extremal_properties(wd, VertexSet.of([0, 1], 5))
+
+
+# Non-extremal inputs (graph6, TD-set) with the first counterexample of each
+# property that fails on them; together they break all eight.
+SCAN_FAILURES = [
+    (
+        "BW",
+        [0, 2],
+        {
+            "pair_sees_region_alike": (0, 2),
+            "regions_are_cliques": [0, 1, 2],
+            "region_closed_twins": [0, 1, 2],
+        },
+    ),
+    (
+        "DEg",
+        [0, 3, 4],
+        {"k2_components_only": [0, 3, 4], "adjacent_share_region": (0, 3), "subset_bound": [0]},
+    ),
+    (
+        "ECp_",
+        [0, 2, 3, 5],
+        {
+            "pair_sees_region_alike": (0, 3),
+            "regions_are_cliques": [0, 3, 4],
+            "no_region_cross_edges": (0, 1),
+            "region_closed_twins": [0, 3, 4],
+        },
+    ),
+    ("EEzO", [2, 3, 4, 5], {"region_closed_twins": [2, 4], "nonadjacent_share_not_one": (0, 1)}),
+]
+
+
+class TestPropertyScans:
+    """Every property's scan can report a counterexample.
+
+    On extremal inputs all eight hold, so only inputs that miss the
+    preconditions of ``check_extremal_properties`` show that a scan fails
+    where it should; they run the scans directly.
+    """
+
+    @pytest.mark.parametrize("token, dset, witnesses", SCAN_FAILURES)
+    def test_first_counterexamples(self, token, dset, witnesses):
+        g = parse_graph6(token)
+        analysis = analyze_k2_components(g, VertexSet.of(dset, g.n))
+        rest = _rest_of_graph(g, analysis)
+        found = {name: next(scan(g, analysis, rest), None) for name, scan in _PROPERTIES.items()}
+        assert {name: w for name, w in found.items() if w is not None} == witnesses
+
+    def test_the_inputs_break_every_property(self):
+        broken = {name for _, _, witnesses in SCAN_FAILURES for name in witnesses}
+        assert broken == set(PROPERTY_NAMES)
 
 
 class TestSubsetCoverNumbers:

@@ -4,10 +4,12 @@ import pytest
 
 from zfdom import (
     Graph,
+    VertexSet,
     components,
     delete_vertex,
     emit_graph6,
     grundy_total_number,
+    induced_subgraph,
     is_clique,
     parse_graph6,
     total_domination_number,
@@ -153,7 +155,9 @@ def assert_derived_families_hold(bases):
 
     The guard is zgrundy(H), plus min(#isolated, 2) for a base H with
     isolated vertices, whose claims are then tagged derived; fewer cliques
-    are refused.  Cliques have order 2, or all have order 3.
+    are refused.  Cliques have order 2, or all have order 3.  Every accepted
+    extension G also checks the abstract's claim directly: G holds H as the
+    subgraph induced by its first n(H) vertices, and Z(G) + Γt(G)/2 = n(G).
     """
     for h in bases:
         if h.n:
@@ -168,6 +172,10 @@ def assert_derived_families_hold(bases):
             inst = h_extension(h, (order,) * ell)
             assert_claims_hold(inst)
             assert {c.provenance for c in inst.expected} == {DERIVED if isolated else PAPER}
+            g = inst.graph
+            assert induced_subgraph(g, VertexSet.of(range(h.n), g.n))[0] == h
+            z, upper = zero_forcing_number(g)[0], upper_total_domination_number(g)[0]
+            assert 2 * z + upper == 2 * g.n, (inst.spec_string(), z, upper)
 
 
 class TestClaimsMatchTheSolvers:
