@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .graphs import Graph, UnsupportedSizeError
+from .graphs import Graph, UnsupportedSizeError, _meter
 
 # Orders the catalogues build.  Order 10 has 12,005,168 classes, hours of work.
 _CATALOGUE_MAX = 9
@@ -220,6 +220,7 @@ def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:
         for subset in _orbit_leaders(_search(parent.adj)[1], m, start):
             rows = [row | (subset >> v & 1) << m for v, row in enumerate(parent.adj)]
             rows.append(subset)
+            _meter.tick("children")
             code = canonical_code(rows)
             if code not in seen:
                 seen.add(code)

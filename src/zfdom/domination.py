@@ -18,7 +18,7 @@ import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, _union, bits, require_isolate_free
+from .graphs import Graph, VertexSet, _meter, _union, bits, require_isolate_free
 
 
 class NotTotalDominatingError(ValueError):
@@ -39,6 +39,16 @@ def is_total_dominating_set(g: Graph, d: VertexSet) -> bool:
     return _union(g.adj, d.mask) == g.full_mask
 
 
+def _private(g: Graph, d: VertexSet) -> dict[int, int]:
+    """pn(v, D) of each member v of ``d``: the vertices whose only D-neighbor is v, as masks."""
+    private = dict.fromkeys(d, 0)
+    for w in range(g.n):
+        inside = g.adj[w] & d.mask
+        if inside and not inside & (inside - 1):
+            private[inside.bit_length() - 1] |= 1 << w
+    return private
+
+
 def private_neighborhoods(g: Graph, d: VertexSet, v: int) -> tuple[VertexSet, VertexSet, VertexSet]:
     """(pn, epn, ipn) of ``v`` with respect to ``d``.
 
@@ -47,11 +57,7 @@ def private_neighborhoods(g: Graph, d: VertexSet, v: int) -> tuple[VertexSet, Ve
     """
     if v not in d:
         raise ValueError(f"vertex {v} is not in the set")
-    bit = 1 << v
-    pn = 0
-    for w in range(g.n):
-        if g.adj[w] & d.mask == bit:
-            pn |= 1 << w
+    pn = _private(g, d)[v]
     n = g.n
     return (
         VertexSet(pn, n),
@@ -85,14 +91,8 @@ def is_minimal_td_set(g: Graph, d: VertexSet) -> TDCertificate | None:
     """
     if not is_total_dominating_set(g, d):
         raise NotTotalDominatingError(f"{sorted(d)} is not a total dominating set")
-    # private[v]: pn(v, D), the vertices whose only neighbor in D is v
-    private = dict.fromkeys(d, 0)
-    for w in range(g.n):
-        inside = g.adj[w] & d.mask
-        if not inside & (inside - 1):
-            private[inside.bit_length() - 1] |= 1 << w
     witnesses = {}
-    for v, pn in private.items():
+    for v, pn in _private(g, d).items():
         if not pn:
             return None
         witnesses[v] = (VertexSet(pn & ~d.mask, g.n), VertexSet(pn & d.mask, g.n))
@@ -129,6 +129,7 @@ def _minimal_td_search(g: Graph, least: bool) -> list[int]:
 
     def extend(i: int, chosen: int, members: tuple, once: int, twice: int) -> None:
         nonlocal cap
+        _meter.tick("td_nodes")
         if once == full:
             found.append(chosen)
             if least:

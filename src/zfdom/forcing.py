@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, _reach, _twin_seed, _union, require_isolate_free
+from .graphs import Graph, VertexSet, _meter, _reach, _twin_seed, _union, require_isolate_free
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def _least_seed(g: Graph, rows, start: int, base: int = 0) -> tuple[int, VertexS
             mask = blue
             for v in combo:
                 mask |= rows[v]
+            _meter.tick("closures:_least_seed")
             if _closure_mask(g, mask) == full:
                 return k, VertexSet.of(combo, n) | VertexSet(base, n)
     raise AssertionError("unreachable: the full vertex set always closes")
@@ -146,9 +147,10 @@ def _wavefront_value(g: Graph, seed: int = 0) -> int:
     cadj = g.cadj
     full = g.full_mask
     floor = g.min_degree()  # Z(G) >= min degree
+    _meter.tick("closures:_wavefront_value")
     start = _closure_mask(g, seed)
     cost = {start: seed.bit_count()}
-    # closure[grown]: the closure of each mask grown so far
+    # closure[grown]: the closure of each grown mask that was not a state yet
     closure = {}
     levels = [[] for _ in range(n + 1)]
     levels[cost[start]].append(start)
@@ -163,9 +165,10 @@ def _wavefront_value(g: Graph, seed: int = 0) -> int:
                 if white:
                     step = level + max(white.bit_count() - 1, 1)
                     grown = blue | white
-                    closed = closure.get(grown)
+                    closed = grown if grown in cost else closure.get(grown)
                     if closed is None:
-                        closed = closure[grown] = grown if grown in cost else _closure_mask(g, grown)
+                        _meter.tick("closures:_wavefront_value")
+                        closed = closure[grown] = _closure_mask(g, grown)
                     if step < cost.get(closed, n + 1):
                         if closed == full and step <= max(floor, level + 1):
                             return step  # nothing left in the queue can beat it
@@ -279,6 +282,7 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
     memo = {0: 0}
 
     def best(uncovered: int) -> int:
+        _meter.tick("dp_states")
         low = uncovered & -uncovered
         if link[low.bit_length() - 1] & uncovered != uncovered:
             if _reach(link, low, uncovered) != uncovered:

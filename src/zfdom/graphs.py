@@ -7,8 +7,51 @@ immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import time
 from collections.abc import Iterable, Iterator, Sequence
+
+
+class _OutOfTime(Exception):
+    """The work meter's deadline has passed."""
+
+
+class _Meter:
+    """The exact searches' work, one count per kind, and one deadline.
+
+    The searches tick it once per loop step: ``dp_states``, ``td_nodes``,
+    ``closures:<caller>`` and the catalogues' ``children``.  A tick at or past
+    the deadline, a ``clock`` reading, raises ``_OutOfTime``.
+    """
+
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = {}
+        self.deadline: float | None = None
+        self.clock = time.monotonic
+
+    def check(self) -> None:
+        if self.deadline is not None and self.clock() >= self.deadline:
+            raise _OutOfTime
+
+    def tick(self, kind: str) -> None:
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if self.deadline is not None:
+            self.check()
+
+    @contextlib.contextmanager
+    def budget(self, ms: int | None):
+        """Inside the block the deadline is ``ms`` milliseconds away; None keeps it."""
+        outer = self.deadline
+        if ms is not None:
+            self.deadline = self.clock() + ms / 1000.0
+        try:
+            yield
+        finally:
+            self.deadline = outer
+
+
+_meter = _Meter()
 
 
 class Graph6Error(ValueError):

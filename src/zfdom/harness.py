@@ -16,7 +16,6 @@ import functools
 import io
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 
 from . import constructions, domination, forcing, powerdom
@@ -25,6 +24,8 @@ from .graphs import (
     Graph6Error,
     UnsupportedSizeError,
     VertexSet,
+    _OutOfTime,
+    _meter,
     _twin_seed,
     bits,
     delete_vertex,
@@ -45,11 +46,7 @@ TIMEOUT = "timeout"
 
 
 class _Unknown(Exception):
-    """An invariant is undefined on the graph or out of time."""
-
-
-class _OutOfTime(_Unknown):
-    """A solver would have started after the per-graph deadline."""
+    """An invariant is undefined on the graph."""
 
 
 # Solvers are looked up on their modules at call time, so a patched or
@@ -71,19 +68,18 @@ class _Facts:
     """The invariants of one graph, each solved at most once with its witness.
 
     Every solver run, a check's own included, goes through ``run``, which
-    raises ``_OutOfTime`` rather than start after the deadline.  The graph's
+    raises ``_OutOfTime`` rather than start after the work meter's deadline;
+    a solver that has started raises it at its next loop step.  The graph's
     connectivity and simplicial vertices are found on first use, once.
     """
 
-    def __init__(self, g: Graph, budget_ms: int | None = None):
+    def __init__(self, g: Graph):
         self.g = g
         self.isolate_free = all(g.adj)
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self._solved: dict[str, tuple] = {}
 
     def run(self, solver, *args):
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise _OutOfTime
+        _meter.check()
         return solver(*args)
 
     def solve(self, name: str) -> tuple:
@@ -175,7 +171,7 @@ def _simplicial_deletion(f: _Facts, zg, gt) -> bool:
     subgraphs = [h for h in subgraphs if all(h.adj)]
     _require(subgraphs)
     for h in subgraphs:
-        sub_zg = f.run(forcing.z_grundy_number, h)[0]
+        sub_zg = len(f.run(forcing._grundy_sequence, h, h.cadj))
         sub_gt = f.run(domination._gamma_t_value, h)
         if not (zg - 1 <= sub_zg <= zg and gt - 1 <= sub_gt <= gt):
             return False
@@ -218,7 +214,7 @@ def _or_none(read, *args):
     """``read(*args)``, or None where it needs an invariant that is unknown."""
     try:
         return read(*args)
-    except _Unknown:
+    except (_Unknown, _OutOfTime):
         return None
 
 
@@ -243,15 +239,16 @@ def compute_report(line: str, checks=None, budget_ms: int | None = None) -> dict
         shown = line.encode("utf-8", "surrogateescape").decode("ascii", "backslashreplace")
         return {"graph6": shown, "error": str(exc)}
 
-    facts = _Facts(g, budget_ms)
+    facts = _Facts(g)
     inv = {"n": g.n, "m": g.edge_count(), "min_degree": g.min_degree()}
-    inv.update((name, _or_none(facts.value, name)) for name in _SOLVERS)
-    return {
-        "graph6": line,
-        "invariants": inv,
-        "verdicts": {name: _run_check(name, facts) for name in CHECK_ORDER if name in selected},
-        "flags": {name: _or_none(flag, facts) for name, flag in _FLAGS.items()},
-    }
+    with _meter.budget(budget_ms):
+        inv.update((name, _or_none(facts.value, name)) for name in _SOLVERS)
+        return {
+            "graph6": line,
+            "invariants": inv,
+            "verdicts": {name: _run_check(name, facts) for name in CHECK_ORDER if name in selected},
+            "flags": {name: _or_none(flag, facts) for name, flag in _FLAGS.items()},
+        }
 
 
 def _run_check(name: str, f: _Facts) -> str:

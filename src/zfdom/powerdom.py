@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .forcing import _closure_mask, _least_seed, forcing_closure
-from .graphs import Graph, UnsupportedSizeError, VertexSet, _union, bits
+from .graphs import Graph, UnsupportedSizeError, VertexSet, _meter, _union, bits
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,10 @@ def z_equals_delta(g: Graph) -> tuple[bool, int | None]:
     """
     delta = g.min_degree()
     for x in range(g.n):
-        if g.degree(x) == delta and _closure_mask(g, g.cadj[x]) == g.full_mask:
-            return True, x
+        if g.degree(x) == delta:
+            _meter.tick("closures:z_equals_delta")
+            if _closure_mask(g, g.cadj[x]) == g.full_mask:
+                return True, x
     return False, None
 
 
@@ -219,6 +221,7 @@ def extract_decomposition(g: Graph, x: int) -> ParallelPathsDecomposition | None
     if g.n == 1:
         return ParallelPathsDecomposition.from_paths(g, x, [(x,)])
     steps = []
+    _meter.tick("closures:extract_decomposition")
     if _closure_mask(g, g.cadj[x], steps) != g.full_mask:
         return None
     paths = [[x, v] for v in bits(g.adj[x])]

@@ -4,10 +4,22 @@ import pathlib
 import pytest
 
 import zfdom
-from zfdom import Graph, emit_graph6, parse_graph6
+from zfdom import Graph, emit_graph6, graphs, parse_graph6
 from zfdom._smallgraphs import connected_graphs_upto_iso, graphs_upto_iso
 
 CACHE_DIR = pathlib.Path(__file__).parent / ".corpus_cache"
+
+
+@pytest.fixture
+def meter(monkeypatch):
+    """The work meter, counting from zero, with a deadline 10 s away.
+
+    Each test that reads the counts runs for a second at most, so the
+    deadline only stops a search that has lost its pruning.
+    """
+    monkeypatch.setattr(graphs._meter, "counts", {})
+    monkeypatch.setattr(graphs._meter, "deadline", graphs._meter.clock() + 10.0)
+    return graphs._meter
 
 
 @pytest.fixture(scope="session")

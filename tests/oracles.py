@@ -295,19 +295,6 @@ def encode_graph6_by_hand(g: Graph) -> str:
     return token
 
 
-def brute_path_cover_number(g: Graph) -> int:
-    """Minimum number of vertex-disjoint paths covering the graph."""
-    nbrs = neighbor_sets(g)
-    best = g.n
-    for perm in permutations(range(g.n)):
-        pieces = 1
-        for a, b in zip(perm, perm[1:]):
-            if b not in nbrs[a]:
-                pieces += 1
-        best = min(best, pieces)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # planarity via Kuratowski subdivisions; outerplanarity via an apex vertex
 

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 
@@ -240,27 +238,14 @@ class TestEnumeratorContracts:
         _assert_matches_oracles(g)
 
     @pytest.mark.parametrize("g", [path(16).graph, cycle(16).graph, windmill(3, 7).graph])
-    def test_search_is_pruned_on_sparse_graphs(self, g):
+    def test_search_is_pruned_on_sparse_graphs(self, g, meter):
         """The depth-first search visits O(n) nodes per minimal TD-set here.
 
         Without the feasibility cut the same sets cost about 40 to 550 times
-        as many nodes; the count is taken with a profile hook, not a clock.
+        as many nodes; the count is the work meter's, not a clock reading.
         """
-        nodes = 0
-
-        def count(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code.co_name == "extend" and (
-                frame.f_globals is vars(domination)
-            ):
-                nodes += 1
-
-        sys.setprofile(count)
-        try:
-            masks = domination._minimal_td_masks(g)
-        finally:
-            sys.setprofile(None)
-        assert 0 < nodes <= 2 * (g.n + 1) * len(masks)
+        masks = domination._minimal_td_masks(g)
+        assert 0 < meter.counts["td_nodes"] <= 2 * (g.n + 1) * len(masks)
 
 
 class TestCappedGammaT:

@@ -1,6 +1,4 @@
 import random
-import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -54,30 +52,6 @@ def random_graph(n, p, rng):
             if rng.random() < p
         ],
     )
-
-
-def traced_calls(run, name, cap):
-    """Run ``run()`` counting the calls of the forcing function ``name`` by caller.
-
-    The count comes from a profile hook, not a clock; past ``cap`` calls the
-    hook raises, so a search that is not pruned fails instead of hanging.
-    """
-    callers = Counter()
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == name and (
-            frame.f_globals is vars(forcing)
-        ):
-            callers[frame.f_back.f_code.co_name] += 1
-            if sum(callers.values()) > cap:
-                raise RuntimeError(f"more than {cap} calls of {name}")
-
-    sys.setprofile(count)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, callers
 
 
 class TestClosure:
@@ -219,16 +193,16 @@ class TestWavefront:
         [(windmill(3, 10), (0, *range(1, 21, 2))), (star(30), tuple(range(1, 30)))],
         ids=["windmill:3,10", "star:30"],
     )
-    def test_twin_classes_start_blue(self, instance, witness):
+    def test_twin_classes_start_blue(self, instance, witness, meter):
         """At most ten closures; today windmill:3,10 takes 4 and star:30 takes 2.
 
         Without the twin seed, windmill:3,10 takes about 60,300 closures,
         almost all in the witness scan, and star:30 would keep about 2^29
-        closed masks in the wavefront; the cap stops either at once.
+        closed masks in the wavefront; the meter's deadline stops it.
         """
-        g = instance.graph
-        (k, found), _ = traced_calls(lambda: zero_forcing_number(g), "_closure_mask", 10)
+        k, found = zero_forcing_number(instance.graph)
         assert (k, tuple(found)) == (len(witness), witness)
+        assert sum(meter.counts.values()) <= 10  # Z's searches tick only closures
 
     @pytest.mark.parametrize(
         "instance, value, witness, closures",
@@ -238,18 +212,15 @@ class TestWavefront:
         ],
         ids=["windmill:3,10", "windmill:4,6"],
     )
-    def test_large_windmills_are_cheap(self, instance, value, witness, closures):
+    def test_large_windmills_are_cheap(self, instance, value, witness, closures, meter):
         """At most ten wavefront closures; today both graphs take three.
 
         From the twin seed the wavefront runs 3 closures and the seed scan
-        one on each graph.  The cap on all closures only stops a runaway.
+        one on each graph.
         """
-        g = instance.graph
-        (k, found), callers = traced_calls(
-            lambda: zero_forcing_number(g), "_closure_mask", 200_000
-        )
+        k, found = zero_forcing_number(instance.graph)
         assert (k, tuple(found)) == (value, witness)
-        assert 0 < callers["_wavefront_value"] <= closures
+        assert 0 < meter.counts["closures:_wavefront_value"] <= closures
 
 
 class TestZSequences:
@@ -369,46 +340,39 @@ class TestGrundyWitnesses:
         [(cycle(28), 26, 26), (path(24), 23, 24), (windmill(3, 10), 10, 20)],
         ids=["cycle:28", "path:24", "windmill:3,10"],
     )
-    def test_search_is_pruned_on_sparse_graphs(self, instance, zgrundy, grundy_total):
+    def test_search_is_pruned_on_sparse_graphs(self, instance, zgrundy, grundy_total, meter):
         """At most 5 n^2 DP states here; a covered-mask memo needs millions on cycle:28."""
         g = instance.graph
-        cap = 5 * g.n**2
         for solver, value in ((z_grundy_number, zgrundy), (grundy_total_number, grundy_total)):
-            (k, _), _ = traced_calls(lambda: solver(g), "best", cap)
-            assert k == value
+            before = meter.counts.get("dp_states", 0)
+            assert solver(g)[0] == value
+            assert meter.counts["dp_states"] - before <= 5 * g.n**2
 
 
 class TestWorkCaps:
     """Work counts of the exact searches over the 853 connected 7-vertex graphs."""
 
-    def test_grundy_dp_states(self, connected_by_order):
+    def test_grundy_dp_states(self, connected_by_order, meter):
         """At most 15,000 DP states for both covers; the DP solves 13,609.
 
         A state is worth at most its uncovered count, which cuts the scan of
         its moves; without that cut the same DPs solve 25,341 states.
         """
+        for g in connected_by_order[7]:
+            z_grundy_number(g)
+            if all(g.adj):
+                grundy_total_number(g)
+        assert 0 < meter.counts["dp_states"] <= 15_000
 
-        def solve_all():
-            for g in connected_by_order[7]:
-                z_grundy_number(g)
-                if all(g.adj):
-                    grundy_total_number(g)
-
-        _, callers = traced_calls(solve_all, "best", 15_000)
-        assert 0 < sum(callers.values()) <= 15_000
-
-    def test_wavefront_closes_each_grown_mask_once(self, connected_by_order):
+    def test_wavefront_closes_each_grown_mask_once(self, connected_by_order, meter):
         """At most 7,600 wavefront closures; the search runs 7,045.
 
         Different moves often grow the same mask; closing it on every move
-        costs 9,105 closures.  The cap on all closures only stops a runaway.
+        costs 9,105 closures.
         """
-        _, callers = traced_calls(
-            lambda: [zero_forcing_number(g) for g in connected_by_order[7]],
-            "_closure_mask",
-            20_000,
-        )
-        assert 0 < callers["_wavefront_value"] <= 7_600
+        for g in connected_by_order[7]:
+            zero_forcing_number(g)
+        assert 0 < meter.counts["closures:_wavefront_value"] <= 7_600
 
 
 class TestSkewDuality:

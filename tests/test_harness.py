@@ -4,7 +4,6 @@ import itertools
 import json
 import pathlib
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +14,7 @@ from zfdom import (
     emit_graph6,
     enumerate_labeled_graphs,
     forcing,
+    graphs,
     harness,
     is_connected,
     isolated_vertices,
@@ -75,9 +75,19 @@ class TestComputeReport:
         assert report["verdicts"]["parallel_paths"] == HOLDS
 
     def test_zero_budget_times_out(self):
-        report = compute_report(emit_graph6(cycle(5).graph), budget_ms=0)
+        """The deadline ends with the report: the same graph then gets full
+        results from an unbudgeted report, ``explain`` and ``hunt``."""
+        g = cycle(5).graph
+        token = emit_graph6(g)
+        report = compute_report(token, budget_ms=0)
         assert report["invariants"]["zero_forcing"] is None
         assert all(v == TIMEOUT for v in report["verdicts"].values())
+        report = compute_report(token)
+        assert None not in report["invariants"].values()
+        assert TIMEOUT not in report["verdicts"].values()
+        assert explain(token, "Z").startswith("zero_forcing = 2\nforcing set: [0, 1]\n")
+        (hit,) = hunt_extremal("z-eq-delta", graphs=[g])
+        assert hit["certificate"]["decomposition"]["hub"] == 0
 
     def test_check_selection(self):
         report = compute_report("Bw", checks=("duality",))
@@ -158,32 +168,37 @@ class TestFactCache:
         check solves 7 subgraphs, not 14.
         """
         g = windmill(3, 7).graph
-        solve = forcing.z_grundy_number
+        solve = forcing._grundy_sequence
         subgraphs = []
 
-        def counting(h):
+        def counting(h, rows):
             if h.n < g.n:
                 subgraphs.append(h)
-            return solve(h)
+            return solve(h, rows)
 
-        monkeypatch.setattr(forcing, "z_grundy_number", counting)
+        monkeypatch.setattr(forcing, "_grundy_sequence", counting)
         report = compute_report(emit_graph6(g), checks=["simplicial_deletion"])
         assert report["verdicts"] == {"simplicial_deletion": HOLDS}
         assert len(subgraphs) == 7
 
-    def test_checks_with_computed_inputs_survive_the_deadline(self, monkeypatch):
-        """The budget runs out once zgrundy is known: a fake clock jumps past
-        the deadline, so the test does not depend on machine speed."""
+    @staticmethod
+    def out_of_time_after(monkeypatch, module, name):
+        """The meter's clock jumps past any deadline once ``module.name`` returns."""
         clock = [0.0]
-        monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        solve = forcing.z_grundy_number
+        monkeypatch.setattr(graphs._meter, "clock", lambda: clock[0])
+        solve = getattr(module, name)
 
         def exhausting(g):
             result = solve(g)
             clock[0] = 10.0
             return result
 
-        monkeypatch.setattr(forcing, "z_grundy_number", exhausting)
+        monkeypatch.setattr(module, name, exhausting)
+
+    def test_checks_with_computed_inputs_survive_the_deadline(self, monkeypatch):
+        """The budget runs out once zgrundy is known: a fake clock jumps past
+        the deadline, so the test does not depend on machine speed."""
+        self.out_of_time_after(monkeypatch, forcing, "z_grundy_number")
         report = compute_report(emit_graph6(cycle(5).graph), budget_ms=1000)
         invariants = report["invariants"]
         assert invariants["zero_forcing"] == 2 and invariants["zgrundy"] == 3
@@ -208,20 +223,30 @@ class TestFactCache:
     def test_sequence_constructions_respect_the_deadline(self, token, monkeypatch):
         """The budget runs out once Γt is known, so neither sequence
         construction may start: both bounds that build one time out."""
-        clock = [0.0]
-        monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        solve = domination.upper_total_domination_number
-
-        def exhausting(g):
-            result = solve(g)
-            clock[0] = 10.0
-            return result
-
-        monkeypatch.setattr(domination, "upper_total_domination_number", exhausting)
+        self.out_of_time_after(monkeypatch, domination, "upper_total_domination_number")
         report = compute_report(token, budget_ms=1000)
         assert report["invariants"]["upper_gamma_t"] is not None
         assert report["verdicts"]["total_domination_bound"] == TIMEOUT
         assert report["verdicts"]["upper_total_bound"] == TIMEOUT
+
+    def test_a_started_solver_stops_at_its_next_tick(self, meter, monkeypatch):
+        """A fake clock passes the deadline once the first search has ticked.
+
+        That search is Z's wavefront, which stops at that very tick; no
+        later solver starts, so every invariant is unknown and every check
+        times out.  The graph is twin-free, so Z's searches start from
+        nothing: they run 52 closures without a budget.
+        """
+        token = "Kgvtr_tm^OKj"
+        assert graphs._twin_seed(parse_graph6(token)) == 0
+        forcing.zero_forcing_number(parse_graph6(token))
+        assert sum(meter.counts.values()) == 52
+        meter.counts.clear()
+        monkeypatch.setattr(meter, "clock", lambda: 10.0 if meter.counts else 0.0)
+        report = compute_report(token, budget_ms=1000)
+        assert meter.counts == {"closures:_wavefront_value": 1}
+        assert [report["invariants"][name] for name in harness._SOLVERS] == [None] * 6
+        assert set(report["verdicts"].values()) == {TIMEOUT}
 
 
 class TestGoldenReports:

@@ -4,7 +4,7 @@ import pathlib
 import subprocess
 import sys
 
-from zfdom import emit_graph6
+from zfdom import domination, emit_graph6
 from zfdom.families import cycle, windmill
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
@@ -18,14 +18,16 @@ def _load(name: str):
 
 
 def test_work_counts_are_deterministic():
+    """Each count is one call: of ``best``, of ``_closure_mask`` by its caller,
+    and of the TD-set search's ``extend``."""
     workcount = _load("workcount")
     lines = ["D{c", emit_graph6(cycle(7).graph), emit_graph6(windmill(3, 3).graph)]
+    domination._minimal_td_masks.cache_clear()  # as in a fresh process
     first = workcount.count_work(lines)
+    closures = {"_least_seed": 9, "_wavefront_value": 8,
+                "extract_decomposition": 3, "z_equals_delta": 11}
+    assert first == {"graphs": 3, "dp_states": 57, "closures": closures, "td_nodes": 139}
     assert first == workcount.count_work(lines)
-    assert first["graphs"] == 3
-    assert first["dp_states"] > 0 and first["td_nodes"] > 0
-    assert first["closures"]["_wavefront_value"] > 0
-    assert first["closures"]["extract_decomposition"] > 0  # the parallel-paths hubs
 
 
 def test_work_count_command_prints_one_json_line(tmp_path, child_env):

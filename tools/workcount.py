@@ -1,11 +1,12 @@
 """Deterministic work counts of the zfdom report path.
 
-Runs ``compute_report`` on graph6 lines and counts, with a profile hook
-rather than a clock, the work of its exact searches:
+Runs ``compute_report`` on graph6 lines and reads, from the package's
+work meter rather than a clock, the work of its exact searches:
 
-- ``dp_states``: calls of ``best``, one per state the Grundy DP solves;
-- ``closures``: calls of ``_closure_mask``, by calling function;
-- ``td_nodes``: calls of ``extend``, one per node of the minimal TD-set search.
+- ``dp_states``: the states the Grundy DP solves;
+- ``closures``: the closures the Z and power domination searches run, by
+  the function that runs them;
+- ``td_nodes``: the nodes of the minimal TD-set search.
 
 The counts depend only on the code and the input, not on the machine.
 Prints one JSON line.  Standard library only; zfdom is imported from the
@@ -23,48 +24,29 @@ import argparse
 import json
 import pathlib
 import sys
-from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / ".corpus_cache" / "connected_n8.g6"
 
-# (module, function name) -> the count it feeds
-_COUNTED = {
-    ("zfdom.forcing", "best"): "dp_states",
-    ("zfdom.forcing", "_closure_mask"): "closures",
-    ("zfdom.domination", "extend"): "td_nodes",
-}
-
 
 def count_work(lines) -> dict:
     """The work counts of one ``compute_report`` per line."""
+    from zfdom.graphs import _meter
     from zfdom.harness import compute_report
 
-    totals = Counter()
-    closures = Counter()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            kind = _COUNTED.get((frame.f_globals.get("__name__"), code.co_name))
-            if kind == "closures":
-                closures[frame.f_back.f_code.co_name] += 1
-            elif kind is not None:
-                totals[kind] += 1
-
-    graphs = 0
-    sys.setprofile(hook)
-    try:
-        for line in lines:
-            compute_report(line)
-            graphs += 1
-    finally:
-        sys.setprofile(None)
+    before = dict(_meter.counts)
+    for line in lines:
+        compute_report(line)
+    work = {kind: count - before.get(kind, 0) for kind, count in _meter.counts.items()}
     return {
-        "graphs": graphs,
-        "dp_states": totals["dp_states"],
-        "closures": dict(sorted(closures.items())),
-        "td_nodes": totals["td_nodes"],
+        "graphs": len(lines),
+        "dp_states": work.get("dp_states", 0),
+        "closures": {
+            kind.removeprefix("closures:"): count
+            for kind, count in sorted(work.items())
+            if kind.startswith("closures:") and count
+        },
+        "td_nodes": work.get("td_nodes", 0),
     }
 
 
