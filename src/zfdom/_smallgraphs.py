@@ -16,9 +16,9 @@ the CLI only enumerates labeled graphs up to n = 6.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
-from .graphs import Graph, UnsupportedSizeError, _meter
+from .graphs import Graph, UnsupportedSizeError, _meter, _orbit_leaders
 
 # Orders the catalogues build.  Order 10 has 12,005,168 classes, hours of work.
 _CATALOGUE_MAX = 9
@@ -138,30 +138,6 @@ def canonical_code(adj: Sequence[int]) -> int:
     return _search(adj)[0]
 
 
-def _orbit_leaders(generators: list[list[int]], m: int, start: int) -> Iterator[int]:
-    """Subsets of ``range(m)``, from ``start`` up, least in their orbit under ``generators``."""
-    images = []
-    for perm in generators:
-        image = [0]  # image[subset] is the image of the subset bitmask
-        for target in perm:
-            bit = 1 << target
-            image += [t | bit for t in image]
-        images.append(image)
-    marked = bytearray(1 << m)
-    for subset in range(start, 1 << m):
-        if marked[subset]:
-            continue
-        marked[subset] = 1
-        orbit = [subset]
-        for s in orbit:  # the loop also visits the subsets appended below
-            for image in images:
-                t = image[s]
-                if not marked[t]:
-                    marked[t] = 1
-                    orbit.append(t)
-        yield subset
-
-
 def graphs_upto_iso(n: int) -> list[Graph]:
     """All simple graphs on ``n`` vertices, one per isomorphism class.
 
@@ -217,7 +193,10 @@ def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:
     start = 0 if include_empty else 1
     for parent in parents:
         m = parent.n
-        for subset in _orbit_leaders(_search(parent.adj)[1], m, start):
+        leader = _orbit_leaders(_search(parent.adj)[1], m)
+        for subset in range(start, 1 << m):
+            if leader[subset] != subset:
+                continue
             rows = [row | (subset >> v & 1) << m for v, row in enumerate(parent.adj)]
             rows.append(subset)
             _meter.tick("children")

@@ -592,26 +592,70 @@ def is_biconnected(g: Graph) -> bool:
 _ENUM_MAX = 6
 
 
-def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """Yield every labeled simple graph on ``n`` vertices exactly once.
-
-    Refuses n > 6: the count doubles per vertex pair and larger orders are
-    delegated to externally prepared corpora.
-    """
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs whose bits, lowest first, make an edge mask on ``n`` vertices."""
     if n > _ENUM_MAX:
         raise UnsupportedSizeError(
             f"labeled enumeration supports n <= {_ENUM_MAX}, got {n}"
         )
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    pairs = list(itertools.combinations(range(n), 2))
+    return list(itertools.combinations(range(n), 2))
+
+
+def _labeled_graph(n: int, pairs: Sequence[tuple[int, int]], edge_mask: int) -> Graph:
+    rows = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        if edge_mask >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph._derived(n, rows)
+
+
+def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+    """Yield every labeled simple graph on ``n`` vertices exactly once.
+
+    Refuses n > 6: the count doubles per vertex pair and larger orders are
+    delegated to externally prepared corpora.
+    """
+    pairs = _edge_pairs(n)
     for edge_mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if edge_mask >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        g = Graph._derived(n, rows)
+        g = _labeled_graph(n, pairs, edge_mask)
         if connected_only and not is_connected(g):
             continue
         yield g
+
+
+def _pair_relabellings(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The permutations of ``pairs``, as image lists, that the vertex relabellings
+    (0 1) and (0 1 ... n-1) induce; those two generate every relabelling."""
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return [
+        [index[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])] for i, j in pairs]
+        for sigma in ([1, 0, *range(2, n)], [*range(1, n), 0])
+    ]
+
+
+def _orbit_leaders(generators: Sequence[Sequence[int]], m: int) -> list[int]:
+    """``leader[subset]``: the least subset of ``range(m)`` in ``subset``'s orbit
+    under the group that ``generators``, permutations as image lists, generate."""
+    images = []
+    for perm in generators:
+        image = [0]  # image[subset] is the image of the subset bitmask
+        for target in perm:
+            bit = 1 << target
+            image += [t | bit for t in image]
+        images.append(image)
+    leader = [-1] * (1 << m)
+    for subset in range(1 << m):
+        if leader[subset] >= 0:
+            continue
+        leader[subset] = subset
+        orbit = [subset]
+        for s in orbit:  # the loop also visits the subsets appended below
+            for image in images:
+                t = image[s]
+                if leader[t] < 0:
+                    leader[t] = subset
+                    orbit.append(t)
+    return leader

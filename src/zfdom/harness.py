@@ -18,19 +18,22 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from . import constructions, domination, forcing, powerdom
+from . import domination, forcing, powerdom
 from .graphs import (
     Graph,
     Graph6Error,
     UnsupportedSizeError,
     VertexSet,
     _OutOfTime,
+    _edge_pairs,
+    _labeled_graph,
     _meter,
+    _orbit_leaders,
+    _pair_relabellings,
     _twin_seed,
     bits,
     delete_vertex,
     emit_graph6,
-    enumerate_labeled_graphs,
     has_clique_component,
     is_chordal,
     is_clique,
@@ -138,13 +141,16 @@ def _min_degree_bound(f: _Facts, z) -> bool:
     return z >= f.g.min_degree()
 
 
+# The checks that run a construction import it on first use: a hunt never loads it.
 def _total_domination_bound(f: _Facts, zg, gt) -> bool:
+    from . import constructions
     _require(f.g.n and not has_clique_component(f.g))
     seq = _construct(f, constructions.z_sequence_from_gamma_t)
     return seq is not None and zg >= gt and len(seq) == gt
 
 
 def _upper_total_bound(f: _Facts, zg, gt, upper) -> bool:
+    from . import constructions
     _require(f.g.n)
     if not gt <= upper <= 2 * zg:
         return False
@@ -153,6 +159,7 @@ def _upper_total_bound(f: _Facts, zg, gt, upper) -> bool:
 
 
 def _two_characterization(f: _Facts, zg, gt) -> bool:
+    from . import constructions
     g = f.g
     _require(f.connected and g.n >= 2 and not is_clique(g, g.full_set()))
     return (gt == 2 and zg == 2) == constructions.non_twin_pairs_see_all(g)
@@ -463,7 +470,9 @@ def hunt_extremal(predicate: str, n: int | None = None, graphs=None):
     """Yield {graph6, predicate, certificate} for each matching graph.
 
     Built-in labeled enumeration covers n <= 6; pass ``graphs`` (an iterable
-    of Graph) to hunt over an externally prepared corpus instead.
+    of Graph) to hunt over an externally prepared corpus instead.  The labeled
+    hunt solves the predicate, an isomorphism invariant, once per isomorphism
+    class; each hit's certificate comes from its own labeled graph.
     """
     try:
         flag, extra, certificate = PREDICATES[predicate]
@@ -471,18 +480,37 @@ def hunt_extremal(predicate: str, n: int | None = None, graphs=None):
         raise ValueError(
             f"unknown predicate {predicate!r}; choose from {sorted(PREDICATES)}"
         ) from None
-    if graphs is None:
-        if n is None:
-            raise ValueError("hunting needs either a size or an external corpus")
-        graphs = enumerate_labeled_graphs(n)
-    for g in graphs:
-        f = _Facts(g)
-        if (extra is None or extra(f)) and _or_none(_FLAGS[flag], f):
-            yield {
-                "graph6": emit_graph6(g),
-                "predicate": predicate,
-                "certificate": certificate(f),
-            }
+    if (n is None) == (graphs is None):
+        raise ValueError("hunting needs either a size or an external corpus, not both")
+
+    def hit(f: _Facts) -> bool:
+        return bool((extra is None or extra(f)) and _or_none(_FLAGS[flag], f))
+
+    found = (f for f in map(_Facts, graphs) if hit(f)) if n is None else _labeled_hits(n, hit)
+    for f in found:
+        yield {
+            "graph6": emit_graph6(f.g),
+            "predicate": predicate,
+            "certificate": certificate(f),
+        }
+
+
+def _labeled_hits(n: int, hit):
+    """The facts of each labeled graph on ``n`` vertices that ``hit`` accepts, in edge-mask order.
+
+    ``hit`` runs only on each isomorphism class's least edge mask, which comes
+    first; the rest of the class shares its answer and, on a miss, is never built."""
+    pairs = _edge_pairs(n)  # refuses a bad size before the 2^len(pairs) table
+    leader = _orbit_leaders(_pair_relabellings(n, pairs), len(pairs))
+    class_hit = bytearray(len(leader))
+    for mask, least in enumerate(leader):
+        if least == mask:
+            f = _Facts(_labeled_graph(n, pairs, mask))
+            class_hit[mask] = hit(f)
+            if class_hit[mask]:
+                yield f
+        elif class_hit[least]:
+            yield _Facts(_labeled_graph(n, pairs, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,20 @@ def automorphisms_by_permutation(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
+def least_relabelled_edge_mask(n: int, edge_mask: int) -> int:
+    """The least edge mask of a labeled graph isomorphic to ``edge_mask``'s.
+
+    Bit k of an edge mask is the k-th pair of ``combinations(range(n), 2)``.
+    Tries all n! relabellings of the vertices.
+    """
+    pairs = list(combinations(range(n), 2))
+    edges = [pair for k, pair in enumerate(pairs) if edge_mask >> k & 1]
+    return min(
+        sum(1 << pairs.index((min(p[u], p[v]), max(p[u], p[v]))) for u, v in edges)
+        for p in permutations(range(n))
+    )
+
+
 def encode_graph6_by_hand(g: Graph) -> str:
     """Direct transcription of the graph6 byte layout."""
     assert g.n <= 62

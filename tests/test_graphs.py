@@ -32,13 +32,21 @@ from zfdom import (
     windmill,
 )
 from zfdom.families import complete, cycle, path, star
-from zfdom.graphs import _component_masks, _reach, _union
+from zfdom.graphs import (
+    _component_masks,
+    _edge_pairs,
+    _orbit_leaders,
+    _pair_relabellings,
+    _reach,
+    _union,
+)
 
 from oracles import (
     components_by_sets,
     encode_graph6_by_hand,
     has_long_induced_cycle,
     is_td_set_by_sets,
+    least_relabelled_edge_mask,
     neighbor_sets,
     reached_by_sets,
 )
@@ -324,6 +332,24 @@ class TestEnumeration:
     def test_connectivity(self):
         assert is_connected(P3)
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _labeled_leaders(n: int) -> list[int]:
+    pairs = _edge_pairs(n)
+    return _orbit_leaders(_pair_relabellings(n, pairs), len(pairs))
+
+
+class TestLabeledOrbitLeaders:
+    def test_one_leader_per_isomorphism_class(self):
+        counts = [sum(least == mask for mask, least in enumerate(_labeled_leaders(n)))
+                  for n in range(7)]
+        assert counts == [1, 1, 2, 4, 11, 34, 156]  # OEIS A000088
+
+    def test_each_leader_is_the_least_relabelling(self):
+        for n in range(6):
+            assert _labeled_leaders(n) == [
+                least_relabelled_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)
+            ]
 
 
 def _mask(vertices) -> int:

@@ -4,11 +4,13 @@ import itertools
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
 from zfdom import (
     Graph6Error,
+    UnsupportedSizeError,
     constructions,
     domination,
     emit_graph6,
@@ -21,6 +23,7 @@ from zfdom import (
     parse_graph6,
     powerdom,
 )
+from zfdom._smallgraphs import canonical_code
 from zfdom.families import cycle, parse_family_spec, path, windmill
 from zfdom.harness import (
     CHECK_ORDER,
@@ -30,6 +33,7 @@ from zfdom.harness import (
     HOLDS,
     INVARIANT_ORDER,
     PRECONDITION,
+    PREDICATES,
     TIMEOUT,
     VIOLATION,
     CorpusSummary,
@@ -491,6 +495,69 @@ class TestHunt:
             next(hunt_extremal("nonsense", n=4))
         with pytest.raises(ValueError, match="needs either"):
             next(hunt_extremal("z-eq-delta"))
+        with pytest.raises(ValueError, match="not both"):
+            next(hunt_extremal("z-eq-delta", n=5, graphs=[path(3).graph]))
+
+    @pytest.mark.parametrize("n, error", [(7, UnsupportedSizeError), (-1, ValueError)])
+    def test_sizes_are_refused_before_the_class_table(self, n, error):
+        # order 7 would need a table of 2^21 edge masks
+        with pytest.raises(error) as expected:
+            next(enumerate_labeled_graphs(n))
+        start = time.perf_counter()
+        with pytest.raises(error) as refused:
+            next(hunt_extremal("z-eq-delta", n=n))
+        assert time.perf_counter() - start < 0.1
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    def test_solving_each_class_once_changes_no_hit(self, predicate):
+        for n in range(6):
+            assert list(hunt_extremal(predicate, n=n)) == list(
+                hunt_extremal(predicate, graphs=enumerate_labeled_graphs(n)))
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    def test_solving_each_class_once_changes_no_hit_at_order_six(self, predicate):
+        assert list(hunt_extremal(predicate, n=6)) == list(
+            hunt_extremal(predicate, graphs=enumerate_labeled_graphs(6)))
+
+    @pytest.mark.parametrize("predicate", ["zgrundy-eq-gammat", "uppertotal-eq-2zgrundy", "z-eq-delta"])
+    def test_the_predicate_runs_once_per_isomorphism_class(self, predicate, monkeypatch):
+        flag = PREDICATES[predicate][0]
+        original = harness._FLAGS[flag]
+        tested = []
+        monkeypatch.setitem(harness._FLAGS, flag, lambda f: tested.append(f.g) or original(f))
+        list(hunt_extremal(predicate, n=5))
+        assert len(tested) == 34  # the isomorphism classes on 5 vertices
+        assert len({canonical_code(g.adj) for g in tested}) == 34
+
+    # SHA-256 prefixes of ``zfdom hunt --n N`` output, one compact JSON line per hit
+    GOLDEN = {
+        5: {
+            "uppertotal-eq-2zgrundy": (26, "25ef3bc5cbb89bff"),
+            "z-eq-delta": (218, "d2183bfa43a8f3da"),
+            "zgrundy-eq-gammat": (157, "6a7e566541884941"),
+        },
+        6: {
+            "uppertotal-eq-2zgrundy": (191, "a7c126429876b56c"),
+            "z-eq-delta": (4228, "3592611acbc07751"),
+            "zgrundy-eq-gammat": (1581, "429053ee175ae2e7"),
+        },
+    }
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_hunt_output_is_pinned(self, n):
+        for predicate, pinned in self.GOLDEN[n].items():
+            hits = list(hunt_extremal(predicate, n=n))
+            text = "".join(json.dumps(hit, separators=(",", ":")) + "\n" for hit in hits)
+            digest = hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+            assert (len(hits), digest) == pinned, predicate
+
+    @pytest.mark.parametrize("predicate", ["chordal-3-3", "simplicial-3-3"])
+    def test_no_three_three_graph_has_six_vertices_or_fewer(self, predicate):
+        for n in range(7):
+            assert list(hunt_extremal(predicate, n=n)) == []
 
 
 class TestExplain:

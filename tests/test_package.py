@@ -107,6 +107,14 @@ def test_a_process_loads_only_what_it_runs(child_env, tmp_path):
 
     for jobs in ("1", "2"):  # two lines fit one chunk, so two jobs start no pool
         loaded = run(jobs, 2)
-        assert "zfdom.harness" in loaded
+        assert "zfdom.harness" in loaded and "zfdom.constructions" in loaded
         assert "concurrent.futures.process" not in loaded and "zfdom.families" not in loaded
     assert "concurrent.futures.process" in run("2", CHUNK_LINES + 1)
+
+    hunt = _loaded_after(
+        "import runpy\n"
+        "sys.argv = ['zfdom', 'hunt', '--predicate', 'z-eq-delta', '--n', '3']\n"
+        "runpy.run_module('zfdom.cli', run_name='__main__', alter_sys=True)\n",
+        child_env, tmp_path)
+    assert "zfdom.harness" in hunt
+    assert "zfdom.constructions" not in hunt and "concurrent.futures.process" not in hunt

@@ -39,3 +39,14 @@ def test_work_count_command_prints_one_json_line(tmp_path, child_env):
     )
     (line,) = done.stdout.splitlines()
     assert json.loads(line)["graphs"] == 2  # D{c and Eqro
+
+
+def test_hunt_work_count_command_prints_one_json_line(child_env):
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "workcount.py"), "--hunt", "z-eq-delta", "--n", "4"],
+        capture_output=True, text=True, env=child_env, check=True,
+    )
+    (line,) = done.stdout.splitlines()
+    closures = {"_least_seed": 41, "_wavefront_value": 55,
+                "extract_decomposition": 22, "z_equals_delta": 22}
+    assert json.loads(line) == {"hits": 22, "dp_states": 0, "closures": closures, "td_nodes": 0}
