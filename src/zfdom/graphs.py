@@ -7,6 +7,7 @@ immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import itertools
 import time
@@ -18,37 +19,42 @@ class _OutOfTime(Exception):
 
 
 class _Meter:
-    """The exact searches' work, one count per kind, and one deadline.
+    """The exact searches' work, one count per kind, and one deadline per thread.
 
     The searches tick it once per loop step: ``dp_states``, ``td_nodes``,
     ``closures:<caller>`` and the catalogues' ``children``.  A tick at or past
-    the deadline, a ``clock`` reading, raises ``_OutOfTime``.
+    the calling thread's deadline, a ``clock`` reading, raises ``_OutOfTime``.
     """
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
-        self.deadline: float | None = None
+        self.deadlines: dict[int, float] = {}  # by thread identifier
         self.clock = time.monotonic
 
     def check(self) -> None:
-        if self.deadline is not None and self.clock() >= self.deadline:
+        deadline = self.deadlines.get(_thread.get_ident())
+        if deadline is not None and self.clock() >= deadline:
             raise _OutOfTime
 
     def tick(self, kind: str) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self.deadline is not None:
+        if self.deadlines:
             self.check()
 
     @contextlib.contextmanager
     def budget(self, ms: int | None):
-        """Inside the block the deadline is ``ms`` milliseconds away; None keeps it."""
-        outer = self.deadline
+        """Inside the block this thread's deadline is ``ms`` milliseconds away; None keeps it."""
+        thread = _thread.get_ident()
+        outer = self.deadlines.get(thread)
         if ms is not None:
-            self.deadline = self.clock() + ms / 1000.0
+            self.deadlines[thread] = self.clock() + ms / 1000.0
         try:
             yield
         finally:
-            self.deadline = outer
+            if outer is None:
+                self.deadlines.pop(thread, None)
+            else:
+                self.deadlines[thread] = outer
 
 
 _meter = _Meter()

@@ -10,9 +10,9 @@ same closure kernel records.
 A single-vertex seed certifies the structure of the whole graph: replaying
 its propagation from a hub assigns every vertex to one of deg(hub) paths,
 and those paths satisfy a selection property (some chosen interior vertex
-has exactly one neighbor among the chosen tails).  Recognition runs the
-fast propagation side; validation re-checks the selection property
-exhaustively as the correctness oracle.
+has exactly one neighbor among the chosen tails).  Recognition extracts
+the paths from the propagation, and validation decides the selection
+property by replaying the paths as forcing chains.
 """
 
 from __future__ import annotations
@@ -142,12 +142,33 @@ class DecompositionReport:
 
 
 def validate_decomposition(g: Graph, d: ParallelPathsDecomposition) -> DecompositionReport:
-    """Structural check, then the exhaustive selection-property check.
+    """Structural check, then the selection property by replaying the paths.
 
     Structure (paths rooted at the hub, internally disjoint, covering the
     graph) raises on violation.  The property quantifies over every
     nonempty choice of non-end vertices from distinct paths: some chosen
     vertex must have exactly one neighbor in the union of the chosen tails.
+
+    It is decided by replaying the paths as forcing chains.  The hub and
+    each path's second vertex start blue, and each path's tip starts at its
+    second vertex (at the hub for a hub-only path).  Until nothing moves, a
+    tip that is not its path's last vertex forces its successor when that
+    is its only white neighbor, and the tip advances.  The property holds
+    exactly when every path plays out:
+
+    - If the replay stops early, the white set is the union of the tails of
+      the stuck tips, and each of them sees its successor and another white
+      vertex, so the stuck tips are a failing choice: ``violation``.
+    - If it finishes, take any choice S with tail union T, and let w be the
+      vertex of T forced first.  Its forcer is its path predecessor p, and
+      p is not in T, or it would have been forced before w; so p is the
+      vertex s of S on w's path.  When s forced w, every other neighbor of
+      s in T was already blue, hence forced before w, which cannot be; so
+      w is s's only neighbor in T.
+
+    The replay ends the same whatever the order of its moves, and an
+    extraction's forces are its moves, so every extraction validates.
+    Chords inside a path are recorded separately and do not fail the check.
     """
     n = g.n
     hub = d.hub
@@ -184,30 +205,23 @@ def validate_decomposition(g: Graph, d: ParallelPathsDecomposition) -> Decomposi
                 if row >> b & 1:
                     induced.append((idx, (a, b)))
 
-    # tails[v] = vertices strictly after v on its own path
-    tails = {}
-    choosable = []
+    # tips[i] indexes path i's tip; white is the union of the tips' tails
+    tips = [min(1, len(path) - 1) for path in d.paths]
+    white = 0
     for path in d.paths:
-        interior = path[1:-1]
-        choosable.append(interior)
-        for i, v in enumerate(interior, start=1):
-            mask = 0
-            for w in path[i + 1 :]:
-                mask |= 1 << w
-            tails[v] = mask
-
-    candidates = [c for c in choosable if c]
-    for count in range(1, len(candidates) + 1):
-        for paths_chosen in itertools.combinations(candidates, count):
-            for selection in itertools.product(*paths_chosen):
-                union = 0
-                for v in selection:
-                    union |= tails[v]
-                if not any(
-                    (g.adj[v] & union).bit_count() == 1 for v in selection
-                ):
-                    return DecompositionReport(False, selection, tuple(induced))
-    return DecompositionReport(True, None, tuple(induced))
+        for v in path[2:]:
+            white |= 1 << v
+    before = None
+    while white != before:
+        before = white
+        for idx, path in enumerate(d.paths):
+            i = tips[idx]
+            while i + 1 < len(path) and g.adj[path[i]] & white == 1 << path[i + 1]:
+                i += 1
+                white ^= 1 << path[i]
+            tips[idx] = i
+    stuck = tuple(path[i] for path, i in zip(d.paths, tips) if i + 1 < len(path))
+    return DecompositionReport(not stuck, stuck or None, tuple(induced))
 
 
 def extract_decomposition(g: Graph, x: int) -> ParallelPathsDecomposition | None:

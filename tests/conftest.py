@@ -1,5 +1,6 @@
 import os
 import pathlib
+import threading
 
 import pytest
 
@@ -18,7 +19,8 @@ def meter(monkeypatch):
     deadline only stops a search that has lost its pruning.
     """
     monkeypatch.setattr(graphs._meter, "counts", {})
-    monkeypatch.setattr(graphs._meter, "deadline", graphs._meter.clock() + 10.0)
+    deadlines = {threading.get_ident(): graphs._meter.clock() + 10.0}
+    monkeypatch.setattr(graphs._meter, "deadlines", deadlines)
     return graphs._meter
 
 

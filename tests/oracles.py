@@ -5,7 +5,7 @@ pruning beyond what the definitions force, so these routines stay slow and
 trustworthy.  The solvers are cross-checked against them on small orders.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from zfdom import Graph
 
@@ -424,3 +424,80 @@ def two_parallel_paths_by_definition(g: Graph) -> bool:
                 ):
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# graphs of internally parallel paths (the graphs with power domination number 1)
+
+
+def hub_path_covers(g: Graph, hub: int):
+    """Every cover of V by internally disjoint paths that start at ``hub``.
+
+    Each path runs along edges and has a vertex besides the hub, except in
+    the one-vertex graph, whose one cover is the hub alone.  The number of
+    paths is free, from 1 to deg(hub).  Each cover is a tuple of paths
+    sorted by their second vertex, so it comes once.
+    """
+    nbrs = neighbor_sets(g)
+    if g.n == 1:
+        yield ((hub,),)
+        return
+
+    def grow(done, path, used):
+        # ``path`` is open: it may end here, or take a neighbor not yet used
+        if len(used) == g.n:
+            yield done + (path,)
+        for v in sorted(nbrs[hub] - used):
+            if v > path[1]:
+                yield from grow(done + (path,), (hub, v), used | {v})
+        for v in sorted(nbrs[path[-1]] - used):
+            yield from grow(done, path + (v,), used | {v})
+
+    for v in sorted(nbrs[hub]):
+        yield from grow((), (hub, v), {hub, v})
+
+
+def _choice_fails(nbrs, paths, choice) -> bool:
+    tails = set()
+    for v in choice:
+        (path,) = [p for p in paths if v in p[1:-1]]
+        tails |= set(path[path.index(v) + 1 :])
+    return all(len(nbrs[v] & tails) != 1 for v in choice)
+
+
+def is_failing_choice(g: Graph, paths, choice) -> bool:
+    """``choice`` picks interior vertices of distinct paths, and none of them
+    has exactly one neighbor in the union of the chosen vertices' tails."""
+    interiors = [p[1:-1] for p in paths]
+    owners = [i for v in choice for i, interior in enumerate(interiors) if v in interior]
+    if not choice or len(owners) != len(choice) or len(set(owners)) != len(owners):
+        return False
+    return _choice_fails(neighbor_sets(g), paths, choice)
+
+
+def selection_property_by_definition(g: Graph, paths) -> bool:
+    """The selection property of hub-rooted paths, from its definition.
+
+    A path's interior vertices are those other than the hub and its last
+    vertex, and a vertex's tail is the part of its path after it.  For every
+    nonempty choice of interior vertices, one from each of some distinct
+    paths, some chosen vertex must have exactly one neighbor in the union of
+    the chosen tails.
+    """
+    nbrs = neighbor_sets(g)
+    interiors = [p[1:-1] for p in paths if len(p) > 2]
+    return not any(
+        _choice_fails(nbrs, paths, choice)
+        for count in range(1, len(interiors) + 1)
+        for chosen in combinations(interiors, count)
+        for choice in product(*chosen)
+    )
+
+
+def parallel_paths_by_definition(g: Graph) -> bool:
+    """Some hub has a cover by hub-rooted paths with the selection property."""
+    return any(
+        selection_property_by_definition(g, cover)
+        for hub in range(g.n)
+        for cover in hub_path_covers(g, hub)
+    )

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import sys
+import threading
 import time
 
 import pytest
@@ -251,6 +252,45 @@ class TestFactCache:
         assert meter.counts == {"closures:_wavefront_value": 1}
         assert [report["invariants"][name] for name in harness._SOLVERS] == [None] * 6
         assert set(report["verdicts"].values()) == {TIMEOUT}
+
+
+class TestDeadlinePerThread:
+    """The meter's deadline belongs to the thread that set it.  Events, not
+    timing, order the two threads."""
+
+    def test_a_budget_stops_only_its_own_thread(self):
+        values = []
+        solver = threading.Thread(
+            target=lambda: values.append(forcing.zero_forcing_number(cycle(24).graph)[0])
+        )
+        with graphs._meter.budget(0):
+            solver.start()
+            solver.join()
+            with pytest.raises(graphs._OutOfTime):
+                graphs._meter.check()
+        assert values == [2]
+
+    def test_interleaved_budgets_leave_no_deadline(self, monkeypatch):
+        """Main enters, the other thread enters, main leaves, the other leaves.
+
+        Then no clock reading is past a deadline: none is left over.
+        """
+        entered, left = threading.Event(), threading.Event()
+
+        def other():
+            with graphs._meter.budget(1000):
+                entered.set()
+                assert left.wait(10)
+
+        with graphs._meter.budget(1000):
+            thread = threading.Thread(target=other)
+            thread.start()
+            assert entered.wait(10)
+        left.set()
+        thread.join()
+        monkeypatch.setattr(graphs._meter, "clock", lambda: float("inf"))
+        graphs._meter.check()
+        assert graphs._meter.deadlines == {}
 
 
 class TestGoldenReports:

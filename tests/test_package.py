@@ -1,5 +1,7 @@
+import doctest
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -67,6 +69,13 @@ def test_public_names_are_the_submodules_own_objects():
         assert getattr(zfdom, module) is submodule
         for name in group:
             assert getattr(zfdom, name) is getattr(submodule, name), name
+
+
+def test_the_readme_examples_run():
+    """README's Library example is a doctest, so its outputs cannot drift."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False)
+    assert results.attempted > 0 and results.failed == 0
 
 
 def test_an_unknown_name_is_an_attribute_error():

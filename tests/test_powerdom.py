@@ -9,6 +9,7 @@ from zfdom import (
     ParallelPathsDecomposition,
     UnsupportedSizeError,
     VertexSet,
+    emit_graph6,
     extract_decomposition,
     forcing_closure,
     is_k_parallel_paths_graph,
@@ -27,7 +28,11 @@ from zfdom.families import complete, complete_multipartite, cycle, path, star, w
 from oracles import (
     brute_gamma_p_set,
     brute_zero_forcing,
+    hub_path_covers,
+    is_failing_choice,
     outerplanar_by_apex,
+    parallel_paths_by_definition,
+    selection_property_by_definition,
     two_parallel_paths_by_definition,
 )
 from strategies import graphs
@@ -233,6 +238,60 @@ class TestValidation:
                     d = extract_decomposition(g, x)
                     if d is not None:
                         assert validate_decomposition(g, d).induced_violations == ()
+
+
+class TestSelectionByDefinition:
+    """The chain replay against the selection property's definition, on
+    every hub-rooted path cover; the class against γp = 1."""
+
+    @staticmethod
+    def check_covers(g, hub):
+        """Validate each cover of ``g`` from ``hub``; return (covers, invalid)."""
+        covers = invalid = 0
+        for cover in hub_path_covers(g, hub):
+            d = ParallelPathsDecomposition.from_paths(g, hub, cover)
+            report = validate_decomposition(g, d)
+            assert report.valid == selection_property_by_definition(g, cover), (g, cover)
+            if not report.valid:
+                assert is_failing_choice(g, cover, report.violation), (g, cover)
+                invalid += 1
+            covers += 1
+        return covers, invalid
+
+    def test_replay_agrees_with_the_definition_on_every_cover(self, graphs_by_order):
+        covers = invalid = 0
+        for n in range(7):
+            for g in graphs_by_order[n]:
+                for hub in range(g.n):
+                    c, i = self.check_covers(g, hub)
+                    covers, invalid = covers + c, invalid + i
+        assert (covers, invalid) == (24896, 19884)
+
+    def test_k33_has_no_valid_cover(self):
+        """42 covers from hub 0, none valid, and γp = 2: an oracle that
+        skipped the selection property would put K_{3,3} in the class."""
+        k33 = complete_multipartite((3, 3)).graph
+        assert self.check_covers(k33, 0) == (42, 42)
+        assert power_domination_number(k33)[0] == 2
+        assert not parallel_paths_by_definition(k33)
+
+    @staticmethod
+    def assert_class_is_single_power_domination(corpus):
+        for g in corpus:
+            assert parallel_paths_by_definition(g) == (
+                power_domination_number(g)[0] == 1
+            ), emit_graph6(g)
+
+    def test_class_iff_one_vertex_power_dominates(self, connected_by_order):
+        for n in range(1, 7):
+            self.assert_class_is_single_power_domination(connected_by_order[n])
+
+    @pytest.mark.extended
+    def test_class_iff_one_vertex_power_dominates_orders_seven_and_eight(
+        self, connected_by_order, connected_eight
+    ):
+        self.assert_class_is_single_power_domination(connected_by_order[7])
+        self.assert_class_is_single_power_domination(connected_eight)
 
 
 class TestExtraEdges:
