@@ -23,8 +23,8 @@ from .graphs import Graph, UnsupportedSizeError, _meter, _orbit_leaders
 # Orders the catalogues build.  Order 10 has 12,005,168 classes, hours of work.
 _CATALOGUE_MAX = 9
 
-_all_cache: dict[int, list[Graph]] = {}
-_connected_cache: dict[int, list[Graph]] = {}
+# (order, connected only) -> catalogue
+_cache: dict[tuple[int, bool], list[Graph]] = {}
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -146,13 +146,7 @@ def graphs_upto_iso(n: int) -> list[Graph]:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    _check_order(n)
-    if n not in _all_cache:
-        if n == 0:
-            _all_cache[0] = [Graph(0, ())]
-        else:
-            _all_cache[n] = _extend(graphs_upto_iso(n - 1), include_empty=True)
-    return _all_cache[n]
+    return _catalogue(n, False)
 
 
 def connected_graphs_upto_iso(n: int) -> list[Graph]:
@@ -164,20 +158,20 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
-    _check_order(n)
-    if n not in _connected_cache:
-        if n == 1:
-            _connected_cache[1] = [Graph(1, (0,))]
-        else:
-            _connected_cache[n] = _extend(
-                connected_graphs_upto_iso(n - 1), include_empty=False
-            )
-    return _connected_cache[n]
+    return _catalogue(n, True)
 
 
-def _check_order(n: int) -> None:
+def _catalogue(n: int, connected: bool) -> list[Graph]:
+    """The catalogue of order ``n``, cached; the connected one starts at one vertex."""
     if n > _CATALOGUE_MAX:
         raise UnsupportedSizeError(f"catalogues support n <= {_CATALOGUE_MAX}, got {n}")
+    key = (n, connected)
+    if key not in _cache:
+        if n == connected:
+            _cache[key] = [Graph(n, (0,) * n)]
+        else:
+            _cache[key] = _extend(_catalogue(n - 1, connected), include_empty=not connected)
+    return _cache[key]
 
 
 def _extend(parents: list[Graph], include_empty: bool) -> list[Graph]:

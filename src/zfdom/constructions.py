@@ -73,7 +73,7 @@ def _k2_split(g: Graph, dmask: int) -> tuple[list, list[int], list[bool], list[i
     regions = []
     symmetric = []
     bigs = []
-    for comp in _component_masks(g, dmask):
+    for comp in _component_masks(adj, dmask):
         if comp.bit_count() == 2:
             x = (comp & -comp).bit_length() - 1
             y = (comp & comp - 1).bit_length() - 1

@@ -20,7 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, _meter, _reach, _twin_seed, _union, require_isolate_free
+from .graphs import Graph, VertexSet, _component_masks, _meter, _twin_seed, _union, require_isolate_free
 
 
 @dataclass(frozen=True)
@@ -285,14 +285,11 @@ def _grundy_sequence(g: Graph, rows) -> list[int]:
         _meter.tick("dp_states")
         low = uncovered & -uncovered
         if link[low.bit_length() - 1] & uncovered != uncovered:
-            if _reach(link, low, uncovered) != uncovered:
-                value = 0
-                rest = uncovered
-                while rest:
-                    group = _reach(link, rest & -rest, rest)
-                    sub = memo.get(group)
-                    value += best(group) if sub is None else sub
-                    rest ^= group
+            groups = _component_masks(link, uncovered)
+            if len(groups) > 1:
+                # a nonempty group always has a move, so its value is >= 1
+                # and a memoised 0 never stands for one
+                value = sum(memo.get(group) or best(group) for group in groups)
                 memo[uncovered] = value
                 return value
         rests = [uncovered & ~rows[v] for v in range(n) if adj[v] & uncovered]

@@ -375,23 +375,20 @@ def parse_graph6(text: str) -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a labeled graph as a short-form graph6 token."""
+    """Encode a labeled graph as a short-form graph6 token.
+
+    The edge bits form the integer that ``parse_graph6`` reads, the pair
+    i < j at bit j(j - 1)/2 + i.  It is read from its lowest bit up, six
+    bits to a character, the first of them the character's highest bit.
+    """
     if g.n > _G6_MAX:
         raise UnsupportedSizeError(f"graph6 short form supports n <= {_G6_MAX}, got {g.n}")
-    out = [chr(63 + g.n)]
-    buf = 0
-    filled = 0
-    for j in range(g.n):
-        for i in range(j):
-            buf = buf << 1 | (g.adj[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + buf))
-                buf = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (buf << (6 - filled))))
-    return "".join(out)
+    edges = 0
+    for j in range(1, g.n):
+        edges |= (g.adj[j] & ((1 << j) - 1)) << j * (j - 1) // 2
+    size = (g.n * (g.n - 1) // 2 + 5) // 6 * 6
+    stream = format(edges, "b")[::-1].ljust(size, "0")  # bit 0 first
+    return chr(63 + g.n) + "".join(chr(63 + int(stream[k : k + 6], 2)) for k in range(0, size, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +453,14 @@ def _twin_seed(g: Graph) -> int:
     return seed
 
 
-def _component_masks(g: Graph, within: int) -> list[int]:
-    """Component masks of the subgraph induced by ``within``, by min vertex."""
+def _component_masks(rows, within: int) -> list[int]:
+    """Component masks, by min vertex, of the subgraph of ``within`` that ``rows`` join.
+
+    ``rows`` are symmetric adjacency rows, such as a graph's ``adj``.
+    """
     out = []
     while within:
-        comp = _reach(g.adj, within & -within, within)
+        comp = _reach(rows, within & -within, within)
         out.append(comp)
         within &= ~comp
     return out
@@ -468,7 +468,7 @@ def _component_masks(g: Graph, within: int) -> list[int]:
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by their minimum vertex."""
-    return [VertexSet(comp, g.n) for comp in _component_masks(g, g.full_mask)]
+    return [VertexSet(comp, g.n) for comp in _component_masks(g.adj, g.full_mask)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -513,22 +513,23 @@ def is_clique_component(g: Graph, c: VertexSet) -> bool:
 
 
 def has_clique_component(g: Graph) -> bool:
-    return any(_is_clique(g, comp) for comp in _component_masks(g, g.full_mask))
+    return any(_is_clique(g, comp) for comp in _component_masks(g.adj, g.full_mask))
 
 
-def are_closed_twins(g: Graph, u: int, v: int) -> bool:
+def _check_twin_pair(g: Graph, u: int, v: int) -> None:
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise ValueError("twin check needs two distinct vertices")
+
+
+def are_closed_twins(g: Graph, u: int, v: int) -> bool:
+    _check_twin_pair(g, u, v)
     return g.cadj[u] == g.cadj[v]
 
 
 def are_open_twins(g: Graph, u: int, v: int) -> bool:
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("twin check needs two distinct vertices")
+    _check_twin_pair(g, u, v)
     return g.adj[u] == g.adj[v]
 
 

@@ -371,23 +371,24 @@ def _pool_map(fn, items, jobs: int):
     Items go to the workers in chunks of ``CHUNK_LINES``.  At most
     ``CHUNKS_PER_JOB * jobs`` chunks are read and not yet yielded, so
     neither the input nor the results are held whole.  Input that ends
-    inside its first chunk starts no pool and is mapped in this process.
+    inside its first chunk starts no pool and is mapped in this process,
+    and a pool gets no more workers than the chunks read before it starts.
     """
     chunks = iter(lambda: list(itertools.islice(items, CHUNK_LINES)), [])
-    head = list(itertools.islice(chunks, 2))
-    if len(head) < 2:
+    ahead = list(itertools.islice(chunks, CHUNKS_PER_JOB * jobs))
+    if len(ahead) < 2:
         # the input ends inside the first chunk, which one worker would take
         # whole: map it here rather than pay for a pool
-        yield from map(fn, itertools.chain.from_iterable(head))
+        yield from map(fn, itertools.chain.from_iterable(ahead))
         return
     # imported here: a run that starts no pool skips the import, a
     # noticeable share of a short run's start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = itertools.chain(head, chunks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool may start all its workers at once, busy or not
+    with ProcessPoolExecutor(max_workers=min(jobs, len(ahead))) as pool:
         submit = functools.partial(pool.submit, _map_chunk, fn)
-        pending = collections.deque(map(submit, itertools.islice(chunks, CHUNKS_PER_JOB * jobs)))
+        pending = collections.deque(map(submit, ahead))
         while pending:
             yield from pending.popleft().result()
             pending.extend(map(submit, itertools.islice(chunks, 1)))
@@ -419,9 +420,7 @@ def _csv_row(report: dict, selected) -> list:
 
 
 def _cert_zgrundy_eq_gammat(f: _Facts) -> dict:
-    gt, dset = f.solve("gamma_t")
-    seq = f.solve("zgrundy")[1]
-    return {"gamma_t": gt, "gamma_t_set": sorted(dset), "sequence": seq.to_json()}
+    return {"gamma_t": f.value("gamma_t"), **_cert_three_three(f)}
 
 
 def _cert_uppertotal_eq_2zgrundy(f: _Facts) -> dict:

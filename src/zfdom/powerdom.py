@@ -284,7 +284,25 @@ def is_outerplanar_small(g: Graph) -> bool:
         raise UnsupportedSizeError(
             f"outerplanarity check supports n <= {_OUTERPLANAR_MAX}, got {g.n}"
         )
-    return not _has_k4_subdivision(g) and not _has_k23_subdivision(g)
+    return not any(
+        _pack_paths(g, pairs, sum(1 << v for v in branch), 0, 0)
+        for branch, pairs in _branch_sets(g)
+    )
+
+
+def _branch_sets(g: Graph):
+    """Each branch set of a K4 or K_{2,3} subdivision, with the six pairs its paths join.
+
+    K4 needs four vertices of degree >= 3; K_{2,3} needs two of degree >= 3
+    and three more of degree >= 2, each joined to both of the two.
+    """
+    deg2 = [v for v in range(g.n) if g.degree(v) >= 2]
+    deg3 = [v for v in deg2 if g.degree(v) >= 3]
+    for branch in itertools.combinations(deg3, 4):
+        yield branch, list(itertools.combinations(branch, 2))
+    for a, b in itertools.combinations(deg3, 2):
+        for trio in itertools.combinations([v for v in deg2 if v not in (a, b)], 3):
+            yield (a, b, *trio), [(side, v) for v in trio for side in (a, b)]
 
 
 def _interior_choices(g: Graph, s: int, t: int, allowed: int) -> list[int]:
@@ -312,30 +330,4 @@ def _pack_paths(g: Graph, pairs, branch_mask: int, used: int, idx: int) -> bool:
     for interior in _interior_choices(g, s, t, allowed):
         if _pack_paths(g, pairs, branch_mask, used | interior, idx + 1):
             return True
-    return False
-
-
-def _has_k4_subdivision(g: Graph) -> bool:
-    eligible = [v for v in range(g.n) if g.degree(v) >= 3]
-    for branch in itertools.combinations(eligible, 4):
-        mask = 0
-        for v in branch:
-            mask |= 1 << v
-        pairs = list(itertools.combinations(branch, 2))
-        if _pack_paths(g, pairs, mask, 0, 0):
-            return True
-    return False
-
-
-def _has_k23_subdivision(g: Graph) -> bool:
-    deg2 = [v for v in range(g.n) if g.degree(v) >= 2]
-    deg3 = [v for v in deg2 if g.degree(v) >= 3]
-    for a, b in itertools.combinations(deg3, 2):
-        for trio in itertools.combinations([v for v in deg2 if v not in (a, b)], 3):
-            mask = 1 << a | 1 << b
-            for v in trio:
-                mask |= 1 << v
-            pairs = [(side, v) for v in trio for side in (a, b)]
-            if _pack_paths(g, pairs, mask, 0, 0):
-                return True
     return False

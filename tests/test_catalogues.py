@@ -49,8 +49,7 @@ def test_building_both_order_seven_catalogues_canonicalises_9918_children(monkey
 
     Canonicalising every subset's child cost 19,106 calls.
     """
-    monkeypatch.setattr(_smallgraphs, "_all_cache", {})
-    monkeypatch.setattr(_smallgraphs, "_connected_cache", {})
+    monkeypatch.setattr(_smallgraphs, "_cache", {})
     graphs_upto_iso(7)
     connected_graphs_upto_iso(7)
     assert meter.counts["children"] == 9918
@@ -77,7 +76,7 @@ def test_catalogues_refuse_more_than_nine_vertices_at_once(catalogue, monkeypatc
 @pytest.mark.extended
 def test_order_eight_connected_catalogue_regenerates_the_cached_corpus(monkeypatch):
     """Generation itself, not the ``connected_eight`` fixture, which reads the file."""
-    monkeypatch.delitem(_smallgraphs._connected_cache, 8, raising=False)
+    monkeypatch.delitem(_smallgraphs._cache, (8, True), raising=False)
     cached = pathlib.Path(__file__).parent / ".corpus_cache" / "connected_n8.g6"
     text = "".join(emit_graph6(g) + "\n" for g in connected_graphs_upto_iso(8))
     assert text.encode("ascii") == cached.read_bytes()

@@ -387,7 +387,7 @@ def _assert_agrees_with_sets(g: Graph, masks) -> None:
         assert _union(g.cadj, mask) == _mask(s.union(*(nbrs[v] for v in s)))
         for v in s:
             assert _reach(g.adj, 1 << v, mask) == _mask(reached_by_sets(nbrs, {v}, s))
-        assert _component_masks(g, mask) == [_mask(c) for c in components_by_sets(nbrs, s)]
+        assert _component_masks(g.adj, mask) == [_mask(c) for c in components_by_sets(nbrs, s)]
         d = VertexSet(mask, g.n)
         assert is_clique(g, d) == all(b in nbrs[a] for a, b in combinations(s, 2))
         assert is_dominating_set(g, d) == all(v in s or nbrs[v] & s for v in everything)

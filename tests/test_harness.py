@@ -415,6 +415,26 @@ class TestRunCorpus:
         run_corpus(lines[:count], b, jobs=2)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("count, jobs", [(20, 4), (38, 2)])
+    def test_a_pool_starts_no_more_workers_than_the_chunks_read(self, count, jobs, monkeypatch):
+        """20 lines are two chunks, so four jobs start two workers, not four."""
+        import concurrent.futures
+
+        asked = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        lines = self.lines()[:count]
+        a, b = io.StringIO(), io.StringIO()
+        run_corpus(lines, a)
+        run_corpus(lines, b, jobs=jobs)
+        assert asked == [2]
+        assert a.getvalue() == b.getvalue()
+
     def test_each_report_is_written_before_the_next_line_is_read(self):
         out = io.StringIO()
         tokens = self.lines()[:5]

@@ -276,6 +276,31 @@ class TestSelectionByDefinition:
         assert not parallel_paths_by_definition(k33)
 
     @staticmethod
+    def count_hubs_that_power_dominate_alone_iff_they_root_the_class(corpus) -> int:
+        """{x} power dominates exactly when some cover from hub x has the selection property."""
+        hubs = 0
+        for g in corpus:
+            for x in range(g.n):
+                rooted = any(
+                    selection_property_by_definition(g, cover) for cover in hub_path_covers(g, x)
+                )
+                alone = is_power_dominating_set(g, VertexSet.of([x], g.n))
+                assert rooted == alone, (emit_graph6(g), x)
+                hubs += 1
+        return hubs
+
+    def test_a_hub_power_dominates_alone_iff_it_roots_the_class(self, connected_by_order):
+        check = self.count_hubs_that_power_dominate_alone_iff_they_root_the_class
+        assert sum(check(connected_by_order[n]) for n in range(1, 7)) == 810
+
+    @pytest.mark.extended
+    def test_a_hub_power_dominates_alone_iff_it_roots_the_class_order_seven(
+        self, connected_by_order
+    ):
+        check = self.count_hubs_that_power_dominate_alone_iff_they_root_the_class
+        assert check(connected_by_order[7]) == 5971
+
+    @staticmethod
     def assert_class_is_single_power_domination(corpus):
         for g in corpus:
             assert parallel_paths_by_definition(g) == (

@@ -50,3 +50,34 @@ def test_hunt_work_count_command_prints_one_json_line(child_env):
     closures = {"_least_seed": 41, "_wavefront_value": 55,
                 "extract_decomposition": 22, "z_equals_delta": 22}
     assert json.loads(line) == {"hits": 22, "dp_states": 0, "closures": closures, "td_nodes": 0}
+
+
+def test_sloc_counts_skip_docstrings_comments_and_blank_lines():
+    sloc = _load("sloc")
+    source = (
+        '"""A module docstring\nover two lines."""\n'
+        "\n"
+        "import os  # a comment after code\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    # a comment alone\n"
+        "    return os.sep\n"
+    )
+    assert sloc.counts(source) == (10, 3)
+
+
+def test_sloc_command_prints_each_module_and_the_total():
+    sloc = _load("sloc")
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "sloc.py")], capture_output=True, text=True, check=True
+    )
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    package = TOOLS.parent / "src" / "zfdom"
+    assert modules == [
+        [*map(str, sloc.counts(path.read_text(encoding="utf-8"))), path.name]
+        for path in sorted(package.glob("*.py"))
+    ]
+    assert total == [str(sum(int(row[0]) for row in modules)),
+                     str(sum(int(row[1]) for row in modules)), "total"]
